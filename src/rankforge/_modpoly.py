@@ -104,7 +104,7 @@ def eval_at(f, x, p):
     return acc
 
 
-def _prime_divisors(n):
+def prime_divisors(n):
     out = []
     d = 2
     while d * d <= n:
@@ -128,7 +128,7 @@ def is_irreducible(f, p):
     x = [0, 1]
     if powmod(x, p ** n, f, p) != x:
         return False
-    for d in _prime_divisors(n):
+    for d in prime_divisors(n):
         h = sub(powmod(x, p ** (n // d), f, p), x, p)
         if len(gcd(h, f, p)) != 1:
             return False

@@ -6,6 +6,7 @@ Tables are CSV, structured objects JSON; rationals serialize as "num/den".
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
+import contextlib
 import csv
 import json
 import os
@@ -15,19 +16,32 @@ import click
 
 from . import legendre as legendre_mod
 from . import nagao as nagao_mod
-from .errors import RankforgeError
+from .errors import InvalidArgument, RankforgeError
 from .family import FamilySpec, construct_family, is_good_prime
 from .finite_field import FqField
 from .number_field import NumberField, landau_sum, prime_ideals_above
 from .number_field import enumerate_prime_ideals
-from .poly import fraction_from_str, fraction_to_str, poly_from_str, poly_to_str
+from .poly import fraction_to_str, poly_from_str, poly_to_str
 from .primes import sieve
 
 DEFAULT_SEED = 20140615
 
 
 def _seed_from_env(seed):
-    return int(os.environ.get("RANKFORGE_SEED", seed))
+    text = os.environ.get("RANKFORGE_SEED")
+    if text is None:
+        return seed
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgument(
+            f"RANKFORGE_SEED must be an integer, got {text!r}") from None
+
+
+def _at_least_one(ctx, param, value):
+    if value < 1:
+        raise InvalidArgument(f"{param.opts[0]} must be >= 1, got {value}")
+    return value
 
 
 def _fmt(x):
@@ -35,8 +49,30 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidArgument(f"{path} is not valid JSON: {exc}") from None
+
+
+def _entry(obj, key, what):
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise InvalidArgument(f"{what} spec has no {key!r} entry") from None
+
+
+def _parse(parse, text, what):
+    try:
+        return parse(text)
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise InvalidArgument(f"cannot parse {what} {text!r}") from None
+
+
 def _load_field_spec(obj):
-    mp = poly_from_str(obj["min_poly"])
+    mp = _parse(poly_from_str, _entry(obj, "min_poly", "field"), "min_poly")
     return NumberField(
         [int(c) for c in mp.coeffs],
         excluded_primes=obj.get("excluded_primes"),
@@ -44,13 +80,11 @@ def _load_field_spec(obj):
 
 
 def _load_field(path):
-    with open(path, encoding="utf-8") as fh:
-        return _load_field_spec(json.load(fh))
+    return _load_field_spec(_read_json(path))
 
 
 def _parse_kelem(K, text):
-    parts = [t for t in text.split(",") if t.strip()]
-    return K.elem([fraction_from_str(t) for t in parts])
+    return K.elem(_parse(poly_from_str, text, "element").coeffs)
 
 
 def _kelem_str(x):
@@ -58,32 +92,50 @@ def _kelem_str(x):
 
 
 def _load_family(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    K = _load_field_spec(obj["field"])
-    rho = tuple(_parse_kelem(K, s) for s in obj["rho"])
-    alpha = _parse_kelem(K, obj["alpha"])
-    return construct_family(FamilySpec(K=K, rho=rho, alpha=alpha))
+    """(spec object, family) for the family spec file at path."""
+    obj = _read_json(path)
+    K = _load_field_spec(_entry(obj, "field", "family"))
+    rho = _entry(obj, "rho", "family")
+    if not isinstance(rho, list) or len(rho) != 6:
+        raise InvalidArgument(f"family spec needs a list of six rho, got {rho!r}")
+    rho = tuple(_parse_kelem(K, s) for s in rho)
+    alpha = _parse_kelem(K, _entry(obj, "alpha", "family"))
+    return obj, construct_family(FamilySpec(K=K, rho=rho, alpha=alpha))
 
 
-def _open_out(out):
+@contextlib.contextmanager
+def _output(out):
     if out is None or out == "-":
-        return sys.stdout, False
-    return open(out, "w", newline="", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            yield fh
 
 
 def _write_csv(out, header, rows):
-    fh, close = _open_out(out)
-    try:
+    with _output(out) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    finally:
-        if close:
-            fh.close()
 
 
-@click.group()
+class UsageFailure(click.ClickException):
+    """A malformed spec or option: one line on stderr, exit code 2."""
+
+    exit_code = 2
+
+
+class _Main(click.Group):
+    """Reports an InvalidArgument from any subcommand as a usage error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InvalidArgument as exc:
+            raise UsageFailure(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Rank-6 elliptic curve families over number fields: construction and
     numerical rank certification via averaged Frobenius traces."""
@@ -117,7 +169,7 @@ def ideals():
 
 @ideals.command("list")
 @click.option("--field", "field_path", required=True, type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True)
+@click.option("--max-norm", type=int, required=True, callback=_at_least_one)
 @click.option("--out", default=None)
 def ideals_list(field_path, max_norm, out):
     """List prime ideals of norm <= X as CSV."""
@@ -132,7 +184,7 @@ def ideals_list(field_path, max_norm, out):
 
 @main.command()
 @click.option("--field", "field_path", required=True, type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True)
+@click.option("--max-norm", type=int, required=True, callback=_at_least_one)
 def landau(field_path, max_norm):
     """Partial sum of log N(P), its ratio to X, and the ideal count."""
     K = _load_field(field_path)
@@ -177,12 +229,7 @@ def family():
 @click.option("--out", default=None)
 def family_construct(spec_path, out):
     """Construct the family and emit its exact coefficients as JSON."""
-    with open(spec_path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    K = _load_field_spec(obj["field"])
-    rho = tuple(_parse_kelem(K, s) for s in obj["rho"])
-    alpha = _parse_kelem(K, obj["alpha"])
-    fam = construct_family(FamilySpec(K=K, rho=rho, alpha=alpha))
+    obj, fam = _load_family(spec_path)
     doc = {
         "field": obj["field"],
         "rho": [_kelem_str(r) for r in fam.spec.rho],
@@ -194,13 +241,9 @@ def family_construct(spec_path, out):
         "D_T": [_kelem_str(c) for c in fam.D_T.coeffs],
         "bad_divisor": str(fam.bad_divisor),
     }
-    fh, close = _open_out(out)
-    try:
+    with _output(out) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 @family.command("badprimes")
@@ -209,29 +252,18 @@ def family_construct(spec_path, out):
 @click.option("--max-p", type=int, required=True)
 def family_badprimes(family_path, max_p):
     """Rational primes p <= N with a bad ideal above them, with reasons."""
-    fam = _load_family(family_path)
+    _, fam = _load_family(family_path)
     for p in sieve(max_p):
         if p in fam.K.excluded_primes:
             click.echo(f"{p}: excluded (Dedekind enumeration)")
             continue
         reasons = []
-        for P in _ideals_above(fam.K, p):
+        for P in prime_ideals_above(fam.K, p):
             good, reason = is_good_prime(fam, P)
             if not good:
                 reasons.append(reason)
         if reasons:
             click.echo(f"{p}: {reasons[0]}")
-
-
-def _ideals_above(K, p):
-    from .number_field import PrimeIdeal, _ideals_above_two
-    from .poly import Poly
-
-    if K.n == 1:
-        return [PrimeIdeal(p=p, factor=Poly([0, 1]), f=1, e=1, norm=p)]
-    if p == 2:
-        return _ideals_above_two(K)
-    return prime_ideals_above(K, p)
 
 
 @main.group()
@@ -247,12 +279,12 @@ def nagao():
               default="analytic", show_default=True)
 def nagao_ap(family_path, p, method):
     """sum of a_t and A_p for every prime ideal above p."""
-    fam = _load_family(family_path)
+    _, fam = _load_family(family_path)
     if p in fam.K.excluded_primes:
         click.echo(f"bad prime: {p} is excluded from Dedekind enumeration")
         sys.exit(1)
     failed = False
-    for P in _ideals_above(fam.K, p):
+    for P in prime_ideals_above(fam.K, p):
         good, reason = is_good_prime(fam, P)
         if not good:
             click.echo(f"{P.label()}: bad prime: {reason}")
@@ -271,21 +303,25 @@ def nagao_ap(family_path, p, method):
 @nagao.command("series")
 @click.option("--family", "family_path", required=True,
               type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True)
+@click.option("--max-norm", type=int, required=True, callback=_at_least_one)
 @click.option("--method", type=click.Choice(["direct", "analytic"]),
               default="analytic", show_default=True)
 @click.option("--checkpoints", default=None,
               help="comma-separated cutoffs; default geometric grid")
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", default=None)
-def nagao_series(family_path, max_norm, method, checkpoints, threads, out):
+def nagao_series(family_path, max_norm, method, checkpoints, out):
     """Nagao partial sums on a checkpoint grid, as CSV."""
-    fam = _load_family(family_path)
+    _, fam = _load_family(family_path)
     grid = None
     if checkpoints:
-        grid = [int(t) for t in checkpoints.split(",")]
+        try:
+            grid = [int(t) for t in checkpoints.split(",")]
+        except ValueError:
+            raise InvalidArgument(
+                f"--checkpoints must be comma-separated integers, "
+                f"got {checkpoints!r}") from None
     rows = nagao_mod.nagao_partial_sum(
-        fam, max_norm, method=method, checkpoints=grid, threads=threads)
+        fam, max_norm, method=method, checkpoints=grid)
     _write_csv(out, ["X", "partial_sum", "ideals_used", "ideals_skipped"],
                [[r.X, _fmt(r.partial_sum), r.ideals_used,
                  r.ideals_skipped_bad] for r in rows])
@@ -294,12 +330,12 @@ def nagao_series(family_path, max_norm, method, checkpoints, threads, out):
 @main.command()
 @click.option("--family", "family_path", required=True,
               type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True)
+@click.option("--max-norm", type=int, required=True, callback=_at_least_one)
 @click.option("--method", type=click.Choice(["direct", "analytic"]),
               default="analytic", show_default=True)
 def rank(family_path, max_norm, method):
     """Rank verdict from the normalized partial sum at X = max-norm."""
-    fam = _load_family(family_path)
+    _, fam = _load_family(family_path)
     est = nagao_mod.rank_estimate(fam, max_norm, method=method)
     click.echo(f"partial_sum = {_fmt(est.partial_sum)}")
     click.echo(f"theta_good = {_fmt(est.theta_good)}")

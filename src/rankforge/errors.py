@@ -79,3 +79,9 @@ class BadPrime(RankforgeError):
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
+
+
+# arguments
+
+class InvalidArgument(RankforgeError):
+    """An argument is malformed or out of range; raised before any work."""

@@ -124,47 +124,67 @@ def _bad_divisor(spec, roots, coefficients):
     return d
 
 
-def _family_data(fam):
-    return (fam.spec.alpha, *fam.spec.rho,
-            fam.a, fam.b, fam.c, fam.A, fam.B, fam.C, fam.D)
+@dataclass(frozen=True)
+class ReducedFamily:
+    """Family data reduced at one prime ideal. reason is None at a good
+    prime; g, h and D_T are None where the data does not reduce at all."""
+    reason: object  # str or None
+    g: tuple = None
+    h: tuple = None
+    D_T: tuple = None
+
+
+_last_reduction = [None, None, None]  # fam, P, ReducedFamily
+
+
+def reduce_family(fam, P):
+    """Reduce the family data at P, each element once.
+
+    The last result is kept, so the good-prime check and the A_p kernel
+    that follows it at the same ideal share one reduction.
+    """
+    last_fam, last_P, reduced = _last_reduction
+    if last_fam is fam and last_P is P:
+        return reduced
+    reduced = _reduce(fam, P)
+    _last_reduction[:] = fam, P, reduced
+    return reduced
+
+
+def _reduce(fam, P):
+    if P.norm % 2 == 0:
+        return ReducedFamily(f"even residue characteristic {P.p}")
+    try:
+        alpha_bar, *rho_bars = [reduce_elem(x, P)
+                                for x in (fam.spec.alpha, *fam.spec.rho)]
+        a, b, c, A, B, C, D = [reduce_elem(x, P) for x in (
+            fam.a, fam.b, fam.c, fam.A, fam.B, fam.C, fam.D)]
+    except DenominatorNotInvertible:
+        return ReducedFamily(f"denominator not invertible mod {P.p}")
+    # everything else is a polynomial in the data above, so it reduces too
+    root_bars = [reduce_elem(r, P) for r in fam.roots]
+    if not alpha_bar:
+        reason = f"alpha vanishes mod {P.p}"
+    elif not all(rho_bars):
+        reason = f"a root vanishes mod {P.p}"
+    elif any(root_bars[i] == root_bars[j]
+             for i in range(6) for j in range(i + 1, 6)):
+        reason = f"repeated roots mod {P.p}"
+    else:
+        reason = None
+    one = P.residue_field.one
+    return ReducedFamily(
+        reason,
+        g=(c, b, a, one),  # g = x^3 + a x^2 + b x + c never loses a term
+        h=(D, C, B, A - one)[:len(fam.h.coeffs)],
+        D_T=tuple(reduce_elem(x, P) for x in fam.D_T.coeffs))
 
 
 def is_good_prime(fam, P):
     """(good, reason). Good means: odd norm, all family data reduces, and
     the six reduced roots stay distinct and nonzero (with alpha a unit)."""
-    if P.norm % 2 == 0:
-        return False, f"even residue characteristic {P.p}"
-    try:
-        for elem in _family_data(fam):
-            reduce_elem(elem, P)
-        alpha_bar = reduce_elem(fam.spec.alpha, P)
-        rho_bars = [reduce_elem(rho, P) for rho in fam.spec.rho]
-        root_bars = [reduce_elem(r, P) for r in fam.roots]
-    except DenominatorNotInvertible:
-        return False, f"denominator not invertible mod {P.p}"
-    if not alpha_bar:
-        return False, f"alpha vanishes mod {P.p}"
-    if not all(rho_bars):
-        return False, f"a root vanishes mod {P.p}"
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if root_bars[i] == root_bars[j]:
-                return False, f"repeated roots mod {P.p}"
-    return True, None
-
-
-def require_good(fam, P):
-    good, reason = is_good_prime(fam, P)
-    if not good:
-        raise BadPrime(reason)
-
-
-def reduce_family(fam, P):
-    """Reduced (g, h, D_T) coefficient lists over the residue field of P."""
-    gbar = [reduce_elem(c, P) for c in fam.g.coeffs]
-    hbar = [reduce_elem(c, P) for c in fam.h.coeffs]
-    dtbar = [reduce_elem(c, P) for c in fam.D_T.coeffs]
-    return gbar, hbar, dtbar
+    reason = reduce_family(fam, P).reason
+    return reason is None, reason
 
 
 def fiber_polynomial(fam, P, t):
@@ -173,9 +193,11 @@ def fiber_polynomial(fam, P, t):
     fld = P.residue_field
     if t.field != fld:
         raise BadPrime("t must live in the residue field of P")
-    gbar, hbar, _ = reduce_family(fam, P)
-    gbar += [fld.zero] * (4 - len(gbar))
-    hbar += [fld.zero] * (4 - len(hbar))
+    reduced = reduce_family(fam, P)
+    if reduced.g is None:
+        raise BadPrime(reduced.reason)
+    gbar = reduced.g + (fld.zero,) * (4 - len(reduced.g))
+    hbar = reduced.h + (fld.zero,) * (4 - len(reduced.h))
     tt = t * t
     coeffs = []
     for i in range(4):

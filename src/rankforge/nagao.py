@@ -10,8 +10,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadPrime, RankforgeError
-from .family import fiber_polynomial, is_good_prime, reduce_family, require_good
+from . import _modpoly
+from .errors import BadPrime, InvalidArgument, RankforgeError
+from .family import fiber_polynomial, is_good_prime, reduce_family
 from .number_field import enumerate_prime_ideals
 
 DIRECT_NORM_CAP = 1000  # O(q^2) work; analytic is the default beyond this
@@ -29,7 +30,7 @@ def curve_trace(cubic, fld):
 
 def trace_a_t(fam, P, t):
     """a_t(P) for a single fiber."""
-    require_good(fam, P)
+    _reduced(fam, P)
     return curve_trace(fiber_polynomial(fam, P, t), P.residue_field)
 
 
@@ -42,26 +43,28 @@ class ApResult:
     good: bool
 
 
-def _check_good(fam, P, allow_bad):
-    good, reason = is_good_prime(fam, P)
-    if not good and not allow_bad:
-        raise BadPrime(reason)
-    return good
+def _reduced(fam, P, allow_bad=False):
+    """The family reduced at P. A bad P raises BadPrime unless allow_bad is
+    set and the data still reduces there."""
+    reduced = reduce_family(fam, P)
+    if reduced.reason is not None and (not allow_bad or reduced.D_T is None):
+        raise BadPrime(reduced.reason)
+    return reduced
 
 
 def average_A_p_direct(fam, P, allow_bad=False):
     """Average of a_t over all fibers, by full enumeration. O(q^2)."""
-    good = _check_good(fam, P, allow_bad)
+    reduced = _reduced(fam, P, allow_bad)
+    gbar, hbar = reduced.g, reduced.h
     fld = P.residue_field
     q, p = fld.q, fld.p
-    gbar, hbar, _ = reduce_family(fam, P)
     total = 0
     if fld.r == 1:
         chi = fld.chi_table()
         gi = [c.coeffs[0] for c in gbar]
         hi = [c.coeffs[0] for c in hbar]
-        gx = [_int_horner(gi, x, p) for x in range(p)]
-        hx = [_int_horner(hi, x, p) for x in range(p)]
+        gx = [_modpoly.eval_at(gi, x, p) for x in range(p)]
+        hx = [_modpoly.eval_at(hi, x, p) for x in range(p)]
         x3 = [pow(x, 3, p) for x in range(p)]
         for t in range(p):
             tt = t * t % p
@@ -82,7 +85,7 @@ def average_A_p_direct(fam, P, allow_bad=False):
                 s += chi(tt * x * x * x + v + v - hvals[x])
             total -= s
     return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, q),
-                    method="direct", good=good)
+                    method="direct", good=reduced.reason is None)
 
 
 def average_A_p_analytic(fam, P, allow_bad=False):
@@ -92,16 +95,16 @@ def average_A_p_analytic(fam, P, allow_bad=False):
     and discriminant 4 D_T(x), so it contributes (q-1)chi(x) at roots of
     D_T and -chi(x) elsewhere; the x = 0 column vanishes at good primes.
     """
-    good = _check_good(fam, P, allow_bad)
+    reduced = _reduced(fam, P, allow_bad)
+    dtbar = reduced.D_T
     fld = P.residue_field
     q, p = fld.q, fld.p
-    _, _, dtbar = reduce_family(fam, P)
     s = 0
     if fld.r == 1:
         chi = fld.chi_table()
         dti = [c.coeffs[0] for c in dtbar]
         for x in range(1, p):
-            v = _int_horner(dti, x, p)
+            v = _modpoly.eval_at(dti, x, p)
             if v == 0:
                 s += (q - 1) * chi[x]
             else:
@@ -116,7 +119,7 @@ def average_A_p_analytic(fam, P, allow_bad=False):
                 s -= chi(x)
     total = -s
     return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, q),
-                    method="analytic", good=good)
+                    method="analytic", good=reduced.reason is None)
 
 
 def average_A_p(fam, P, method="analytic", allow_bad=False):
@@ -133,6 +136,7 @@ class RankSeriesRow:
     partial_sum: float
     ideals_used: int
     ideals_skipped_bad: int
+    theta_good: float  # sum of log N(P) over the good primes used
 
 
 def default_checkpoints(X):
@@ -146,59 +150,41 @@ def default_checkpoints(X):
     return grid
 
 
-def _series_term(fam, method, P):
-    """(norm, contribution to sum of -A_p log N), or (norm, None) if bad."""
-    good, _ = is_good_prime(fam, P)
-    if not good:
-        return P.norm, None
-    if method == "direct" and P.norm > DIRECT_NORM_CAP:
-        raise RankforgeError(
-            f"direct method capped at norm {DIRECT_NORM_CAP}; "
-            "use the analytic method for large primes")
-    res = average_A_p(fam, P, method=method)
-    return P.norm, -float(res.A_p) * math.log(P.norm)
-
-
-def _series_terms(fam, X, method, threads=1):
-    ideals = enumerate_prime_ideals(fam.K, X)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(
-                lambda P: _series_term(fam, method, P), ideals)
-    else:
-        for P in ideals:
-            yield _series_term(fam, method, P)
-
-
-def nagao_partial_sum(fam, X, method="analytic", checkpoints=None, threads=1):
+def nagao_partial_sum(fam, X, method="analytic", checkpoints=None):
     """Rows of (1/X') sum of -A_p log N(P) over good primes of norm <= X'.
 
-    Sums are accumulated incrementally over one pass in norm order; bad
-    primes are skipped and counted. threads > 1 parallelizes the per-prime
-    averages; the merge stays deterministic.
+    One pass over the ideals in norm order classifies each once, skips and
+    counts the bad ones and sums theta_good beside the partial sum.
     """
-    if checkpoints is None:
-        checkpoints = default_checkpoints(X)
-    checkpoints = sorted(set(checkpoints))
+    if method not in ("direct", "analytic"):
+        raise InvalidArgument(f"unknown method {method!r}")
+    if method == "direct" and X > DIRECT_NORM_CAP:
+        raise InvalidArgument(
+            f"direct method capped at norm {DIRECT_NORM_CAP}; "
+            "use the analytic method for large primes")
+    checkpoints = sorted(set(
+        default_checkpoints(X) if checkpoints is None else checkpoints))
+    if not checkpoints or not 1 <= checkpoints[0] <= checkpoints[-1] <= X:
+        raise InvalidArgument(f"checkpoints must lie in [1, {X}], got {checkpoints}")
     rows = []
-    total = 0.0
+    total = theta = 0.0
     used = skipped = 0
-    idx = 0
-    for norm, contrib in _series_terms(fam, X, method, threads):
-        while idx < len(checkpoints) and norm > checkpoints[idx]:
-            rows.append(RankSeriesRow(checkpoints[idx], total / checkpoints[idx],
-                                      used, skipped))
-            idx += 1
-        if contrib is None:
+
+    def emit(cutoff):
+        rows.append(RankSeriesRow(cutoff, total / cutoff, used, skipped, theta))
+
+    for P in enumerate_prime_ideals(fam.K, X):
+        while len(rows) < len(checkpoints) and P.norm > checkpoints[len(rows)]:
+            emit(checkpoints[len(rows)])
+        if not is_good_prime(fam, P)[0]:
             skipped += 1
-        else:
-            total += contrib
-            used += 1
-    while idx < len(checkpoints):
-        rows.append(RankSeriesRow(checkpoints[idx], total / checkpoints[idx],
-                                  used, skipped))
-        idx += 1
+            continue
+        res = average_A_p(fam, P, method=method)
+        total += -float(res.A_p) * math.log(P.norm)
+        theta += math.log(P.norm)
+        used += 1
+    for cutoff in checkpoints[len(rows):]:
+        emit(cutoff)
     return rows
 
 
@@ -218,13 +204,8 @@ def rank_estimate(fam, X, method="analytic"):
     nearest_integer = round(partial_sum * X / theta_good) corrects for the
     finite-X deficit of sum(log N)/X against the Landau asymptotic.
     """
-    rows = nagao_partial_sum(fam, X, method=method, checkpoints=[X])
-    partial = rows[-1].partial_sum
-    theta = 0.0
-    for P in enumerate_prime_ideals(fam.K, X):
-        good, _ = is_good_prime(fam, P)
-        if good:
-            theta += math.log(P.norm)
+    last = nagao_partial_sum(fam, X, method=method, checkpoints=[X])[-1]
+    partial, theta = last.partial_sum, last.theta_good
     if theta == 0.0:
         return RankEstimate(X=X, partial_sum=partial, theta_good=0.0,
                             nearest_integer=0, residual=0.0,
@@ -234,14 +215,7 @@ def rank_estimate(fam, X, method="analytic"):
     return RankEstimate(X=X, partial_sum=partial, theta_good=theta,
                         nearest_integer=nearest,
                         residual=normalized - nearest,
-                        low_confidence=rows[-1].ideals_used == 0)
-
-
-def _int_horner(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+                        low_confidence=last.ideals_used == 0)
 
 
 def _horner(coeffs, x, fld):

@@ -9,9 +9,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from . import _modpoly
 from .errors import DenominatorNotInvertible, NotKnownIrreducible, RankforgeError
 from .finite_field import FqField
-from .poly import Poly, discriminant, factor_mod_p, poly_to_str, xgcd
+from .poly import Poly, discriminant, factor_mod_p, poly_to_str, resultant, xgcd
 from .primes import sieve
 
 _CERTIFY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -36,7 +37,7 @@ class NumberField:
             raise RankforgeError("minimal polynomial is not squarefree")
         self._certify_irreducible(assert_irreducible)
         if excluded_primes is None:
-            excluded_primes = _prime_divisors(abs(self.disc_m))
+            excluded_primes = _modpoly.prime_divisors(abs(self.disc_m))
         self.excluded_primes = frozenset(int(p) for p in excluded_primes)
 
     def _certify_irreducible(self, asserted):
@@ -183,7 +184,7 @@ class KElem:
         """Field norm N_{K/Q} as a Fraction (resultant with the min poly)."""
         if not self:
             return Fraction(0)
-        return resultant_norm(self.field.m_poly, Poly(self.coeffs))
+        return resultant(self.field.m_poly, Poly(self.coeffs))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -199,11 +200,6 @@ class KElem:
 
     def __repr__(self):
         return "KElem[" + ",".join(str(c) for c in self.coeffs) + "]"
-
-
-def resultant_norm(m_poly, elem_poly):
-    from .poly import resultant
-    return resultant(m_poly, elem_poly)
 
 
 @dataclass(frozen=True)
@@ -235,64 +231,41 @@ class PrimeIdeal:
 
 def prime_ideals_above(K, p):
     """The primes of Z[theta] above a non-excluded rational prime p."""
-    out = []
-    for fac, e in factor_mod_p(K.m_poly, p):
-        f = fac.degree
-        out.append(PrimeIdeal(p=p, factor=fac, f=f, e=e, norm=p ** f))
-    return out
+    if K.n == 1:
+        return [PrimeIdeal(p=p, factor=Poly([0, 1]), f=1, e=1, norm=p)]
+    # factor_mod_p rejects p = 2; the degree is tiny, so split that by hand
+    factors = _factor_mod_two(K.m) if p == 2 else factor_mod_p(K.m_poly, p)
+    return [PrimeIdeal(p=p, factor=fac, f=fac.degree, e=e, norm=p ** fac.degree)
+            for fac, e in factors]
 
 
 def enumerate_prime_ideals(K, X):
     """All primes of norm <= X, sorted by (norm, p, factor); excluded
     rational primes are skipped."""
-    ideals = []
-    for p in sieve(X):
-        if p in K.excluded_primes:
-            continue
-        if K.n == 1:
-            ideals.append(PrimeIdeal(p=p, factor=Poly([0, 1]), f=1, e=1, norm=p))
-            continue
-        if p == 2:
-            # factor_mod_p rejects p = 2; fall back to exhaustive splitting
-            for ideal in _ideals_above_two(K):
-                if ideal.norm <= X:
-                    ideals.append(ideal)
-            continue
-        for ideal in prime_ideals_above(K, p):
-            if ideal.norm <= X:
-                ideals.append(ideal)
+    ideals = [P for p in sieve(X) if p not in K.excluded_primes
+              for P in prime_ideals_above(K, p) if P.norm <= X]
     ideals.sort(key=PrimeIdeal.sort_key)
     return ideals
 
 
-def _ideals_above_two(K):
-    """Brute-force factorization of m mod 2 (degree is tiny)."""
-    from . import _modpoly
-
-    f = _modpoly.trim([c % 2 for c in K.m])
-    out = []
+def _factor_mod_two(m):
+    """(factor, multiplicity) pairs of m mod 2 by trial division with every
+    monic polynomial over F_2, lowest degree first."""
+    g = _modpoly.trim([c % 2 for c in m])
     factors = {}
-    # trial division by all monic polynomials of degree 1..n over F_2
-    g = list(f)
     d = 1
     while len(g) > 1:
-        found = False
         for code in range(2 ** d):
             cand = [(code >> i) & 1 for i in range(d)] + [1]
             q, r = _modpoly.divmod_(g, cand, 2)
             if not r:
-                key = tuple(cand)
-                factors[key] = factors.get(key, 0) + 1
+                factors[tuple(cand)] = factors.get(tuple(cand), 0) + 1
                 g = q
-                found = True
                 break
-        if not found:
+        else:
             d += 1
-    for key in sorted(factors, key=lambda k: (len(k), k[::-1])):
-        fac = Poly(list(key))
-        out.append(PrimeIdeal(p=2, factor=fac, f=fac.degree,
-                              e=factors[key], norm=2 ** fac.degree))
-    return out
+    return [(Poly(list(key)), factors[key])
+            for key in sorted(factors, key=lambda k: (len(k), k[::-1]))]
 
 
 def reduce_elem(x, P):
@@ -340,20 +313,6 @@ def _divisors(n):
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _int_poly_eval(coeffs, x):

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from rankforge.cli import main
+from rankforge.errors import RankforgeError
 
 FIELD_Q = {"min_poly": "0,1"}
 FIELD_SQRT5 = {"min_poly": "-1,-1,1"}
@@ -131,6 +132,80 @@ def test_rank_command(runner, family_file):
 def test_usage_error_exit_code(runner):
     res = runner.invoke(main, ["rank", "--max-norm", "10"])
     assert res.exit_code == 2
+
+
+def test_rank_sqrt5_reference_output(runner, tmp_path):
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps({**FAMILY_Q, "field": FIELD_SQRT5}))
+    res = runner.invoke(main, ["rank", "--family", str(path),
+                               "--max-norm", "2000"])
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    assert lines[0] == "partial_sum = 5.75469318947"
+    assert lines[1] == "theta_good = 1918.23106316"
+    # the residual is float noise by construction: bound it, never pin it
+    assert abs(float(lines[2].removeprefix("residual = "))) < 1e-9
+    assert lines[3:] == ["rank estimate: 6"]
+
+
+def _without(key):
+    return {k: v for k, v in FAMILY_Q.items() if k != key}
+
+
+# (family spec, extra CLI arguments, environment); the family spec goes to
+# --family, or --spec for "family construct"
+MALFORMED = {
+    "checkpoint above max-norm": (
+        FAMILY_Q, ["nagao", "series", "--max-norm", "100",
+                   "--checkpoints", "50,100000"], {}),
+    "checkpoint zero": (
+        FAMILY_Q, ["nagao", "series", "--max-norm", "100",
+                   "--checkpoints", "0,50"], {}),
+    "checkpoint not an integer": (
+        FAMILY_Q, ["nagao", "series", "--max-norm", "100",
+                   "--checkpoints", "50,abc"], {}),
+    "series max-norm zero": (
+        FAMILY_Q, ["nagao", "series", "--max-norm", "0"], {}),
+    "direct above its cap": (
+        FAMILY_Q, ["nagao", "series", "--max-norm", "5000",
+                   "--method", "direct"], {}),
+    "rank max-norm negative": (FAMILY_Q, ["rank", "--max-norm", "-5"], {}),
+    "rank direct above its cap": (
+        FAMILY_Q, ["rank", "--max-norm", "1001", "--method", "direct"], {}),
+    "landau max-norm zero": (None, ["landau", "--max-norm", "0"], {}),
+    "ideals max-norm zero": (None, ["ideals", "list", "--max-norm", "0"], {}),
+    "missing rho": (_without("rho"), ["rank", "--max-norm", "100"], {}),
+    "missing alpha": (_without("alpha"), ["rank", "--max-norm", "100"], {}),
+    "missing field": (_without("field"), ["rank", "--max-norm", "100"], {}),
+    "missing min_poly": (
+        {**FAMILY_Q, "field": {}}, ["rank", "--max-norm", "100"], {}),
+    "five rho": (
+        {**FAMILY_Q, "rho": ["1", "2", "3", "4", "5"]},
+        ["rank", "--max-norm", "100"], {}),
+    "rho not a number": (
+        {**FAMILY_Q, "rho": ["1", "2", "3", "4", "5", "x"]},
+        ["rank", "--max-norm", "100"], {}),
+    "construct missing rho": (_without("rho"), ["family", "construct"], {}),
+    "seed not an integer": (
+        None, ["legendre", "verify", "--max-q", "9"], {"RANKFORGE_SEED": "abc"}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_exits_2(runner, tmp_path, field_file, case):
+    spec, args, env = MALFORMED[case]
+    if args[0] in ("landau", "ideals"):
+        args = args + ["--field", field_file]
+    elif spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        flag = "--spec" if args[:2] == ["family", "construct"] else "--family"
+        args = args + [flag, str(path)]
+    res = runner.invoke(main, args, env=env)
+    assert res.exit_code == 2
+    assert not isinstance(res.exception, (RankforgeError, ValueError, KeyError))
+    assert len(res.output.strip().splitlines()) == 1
+    assert res.output.startswith("Error: ")
 
 
 def test_sqrt5_family_via_cli(runner, tmp_path):

@@ -16,7 +16,7 @@ from rankforge import (
     rank_estimate,
     trace_a_t,
 )
-from rankforge.errors import BadPrime, RankforgeError
+from rankforge.errors import BadPrime, InvalidArgument, RankforgeError
 from rankforge.nagao import curve_trace, default_checkpoints
 from conftest import ideal_above
 
@@ -128,10 +128,48 @@ def test_direct_cap_enforced(fam_rat):
         nagao_partial_sum(fam_rat, 5000, method="direct", checkpoints=[5000])
 
 
-def test_threads_match_serial(fam_rat):
-    serial = nagao_partial_sum(fam_rat, 1500, checkpoints=[1500])
-    threaded = nagao_partial_sum(fam_rat, 1500, checkpoints=[1500], threads=4)
-    assert serial == threaded
+@pytest.mark.parametrize("X, checkpoints, method", [
+    (100, [50, 100000], "analytic"), (100, [0, 50], "analytic"),
+    (100, [], "analytic"), (0, None, "analytic"), (-5, None, "analytic"),
+    (11, None, "bogus")])
+def test_series_arguments_rejected_before_any_work(fam_rat, X, checkpoints,
+                                                   method):
+    with pytest.raises(InvalidArgument):
+        nagao_partial_sum(fam_rat, X, method=method, checkpoints=checkpoints)
+
+
+def test_theta_good_matches_independent_sum(fam_sqrt5):
+    X = 700
+    rows = nagao_partial_sum(fam_sqrt5, X, checkpoints=[300, X])
+    for row in rows:
+        theta = 0.0
+        for P in enumerate_prime_ideals(fam_sqrt5.K, row.X):
+            if is_good_prime(fam_sqrt5, P)[0]:
+                theta += math.log(P.norm)
+        assert row.theta_good == theta
+    assert rank_estimate(fam_sqrt5, X).theta_good == rows[-1].theta_good
+
+
+def test_rank_estimate_enumerates_and_reduces_once(fam_sqrt5, monkeypatch):
+    from rankforge import family, nagao, number_field
+
+    calls = {"enumerate": 0, "ideals": 0, "reduce_elem": 0}
+
+    def enumerate_counted(K, X):
+        calls["enumerate"] += 1
+        ideals = number_field.enumerate_prime_ideals(K, X)
+        calls["ideals"] += len(ideals)
+        return ideals
+
+    def reduce_counted(x, P):
+        calls["reduce_elem"] += 1
+        return number_field.reduce_elem(x, P)
+
+    monkeypatch.setattr(nagao, "enumerate_prime_ideals", enumerate_counted)
+    monkeypatch.setattr(family, "reduce_elem", reduce_counted)
+    assert rank_estimate(fam_sqrt5, 500).nearest_integer == 6
+    assert calls["enumerate"] == 1
+    assert 0 < calls["reduce_elem"] <= 27 * calls["ideals"]
 
 
 def test_normalization_identity(fam_rat):
