@@ -82,7 +82,9 @@ def gcd(f, g, p):
 
 
 def powmod(f, e, m, p):
-    """f^e mod m, square and multiply."""
+    """f^e mod m, square and multiply; a constant f stays in F_p."""
+    if len(f) <= 1:
+        return trim([pow(f[0] if f else 0, e, p)])
     result = [1]
     f = mod(f, m, p)
     while e > 0:

@@ -16,13 +16,14 @@ import click
 
 from . import legendre as legendre_mod
 from . import nagao as nagao_mod
-from .errors import InvalidArgument, RankforgeError
+from .errors import InvalidArgument, RankforgeError, RepeatedRoot, ZeroAlpha
+from .errors import ZeroRoot
 from .family import FamilySpec, construct_family, is_good_prime
 from .finite_field import FqField
 from .number_field import NumberField, landau_sum, prime_ideals_above
 from .number_field import enumerate_prime_ideals
 from .poly import fraction_to_str, poly_from_str, poly_to_str
-from .primes import sieve
+from .primes import is_prime, sieve
 
 DEFAULT_SEED = 20140615
 
@@ -71,12 +72,27 @@ def _parse(parse, text, what):
         raise InvalidArgument(f"cannot parse {what} {text!r}") from None
 
 
+def _int_coeffs(text, what):
+    coeffs = _parse(poly_from_str, text, what).coeffs
+    if any(c.denominator != 1 for c in coeffs):
+        raise InvalidArgument(f"{what} {text!r} has a non-integer coefficient")
+    return [int(c) for c in coeffs]
+
+
 def _load_field_spec(obj):
-    mp = _parse(poly_from_str, _entry(obj, "min_poly", "field"), "min_poly")
-    return NumberField(
-        [int(c) for c in mp.coeffs],
-        excluded_primes=obj.get("excluded_primes"),
-        assert_irreducible=obj.get("assert_irreducible", False))
+    min_poly = _int_coeffs(_entry(obj, "min_poly", "field"), "min_poly")
+    excluded = obj.get("excluded_primes")
+    if excluded is not None and not (
+            isinstance(excluded, list) and all(isinstance(p, int) for p in excluded)):
+        raise InvalidArgument(
+            f"excluded_primes must be a list of integers, got {excluded!r}")
+    try:
+        return NumberField(
+            min_poly,
+            excluded_primes=excluded,
+            assert_irreducible=obj.get("assert_irreducible", False))
+    except RankforgeError as exc:
+        raise InvalidArgument(f"field spec: {exc}") from None
 
 
 def _load_field(path):
@@ -100,7 +116,10 @@ def _load_family(path):
         raise InvalidArgument(f"family spec needs a list of six rho, got {rho!r}")
     rho = tuple(_parse_kelem(K, s) for s in rho)
     alpha = _parse_kelem(K, _entry(obj, "alpha", "family"))
-    return obj, construct_family(FamilySpec(K=K, rho=rho, alpha=alpha))
+    try:
+        return obj, construct_family(FamilySpec(K=K, rho=rho, alpha=alpha))
+    except (RepeatedRoot, ZeroAlpha, ZeroRoot) as exc:
+        raise InvalidArgument(f"family spec: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -153,8 +172,11 @@ def field():
 @click.option("--out", default=None)
 def field_info(p, modulus, out):
     """Print q and a sample character table as CSV."""
-    mod = [int(c) for c in poly_from_str(modulus).coeffs]
-    fld = FqField(p, mod)
+    mod = _int_coeffs(modulus, "modulus")
+    try:
+        fld = FqField(p, mod)
+    except RankforgeError as exc:
+        raise InvalidArgument(str(exc)) from None
     click.echo(f"q = {fld.q} (p = {fld.p}, r = {fld.r})")
     sample = fld.elements()[: min(fld.q, 32)]
     _write_csv(out, ["code", "coeffs", "chi"],
@@ -279,6 +301,8 @@ def nagao():
               default="analytic", show_default=True)
 def nagao_ap(family_path, p, method):
     """sum of a_t and A_p for every prime ideal above p."""
+    if not is_prime(p):
+        raise InvalidArgument(f"--p must be a prime, got {p}")
     _, fam = _load_family(family_path)
     if p in fam.K.excluded_primes:
         click.echo(f"bad prime: {p} is excluded from Dedekind enumeration")

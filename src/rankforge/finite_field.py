@@ -2,7 +2,16 @@
 
 Elements live in a polynomial basis over F_p with an explicitly supplied
 modulus; the prime-field case r = 1 goes through the same code path.
+
+FqElem with chi(u) (squares table) and quadratic_character (Euler's
+criterion) is the simple reference path. FqField.tables() codes elements as
+ints with O(q) log/antilog tables (Lidl-Niederreiter, Finite Fields, ch. 9)
+for the bulk kernels in nagao and legendre; the tests check one against
+the other.
 """
+
+import itertools
+from typing import NamedTuple
 
 from . import _modpoly
 from .errors import (
@@ -80,30 +89,68 @@ class FqField:
         return self._elements
 
     def chi_table(self):
-        """chi by element code, built by marking squares. Cached.
+        """chi by element index, built by marking squares. Cached.
 
-        Cross-checked against the Euler-criterion route in the tests.
+        The independent reference behind chi(u); bulk kernels use tables().
         """
         if self._chi is None:
-            p, q = self.p, self.q
-            if self.r == 1:
-                table = [-1] * q
-                table[0] = 0
-                for v in range(1, q):
-                    table[v * v % p] = 1
-            else:
-                table = [-1] * q
-                table[0] = 0
-                m = list(self.modulus)
-                for elem in self.elements()[1:]:
-                    sq = _modpoly.mod(
-                        _modpoly.mul(list(elem.coeffs), list(elem.coeffs), p), m, p)
-                    code = 0
-                    for c in reversed(sq + [0] * (self.r - len(sq))):
-                        code = code * p + c
-                    table[code] = 1
+            table = [-1] * self.q
+            table[0] = 0
+            for u in self.elements()[1:]:
+                table[self.encode(u * u)] = 1
             self._chi = table
         return self._chi
+
+    def tables(self):
+        """Integer-coded arithmetic of this field in O(q) for fixed r, built
+        afresh on every call (never cached).
+
+        Coefficients c_0..c_{r-1} give the code sum c_i (2p-1)^i, so adding
+        two codes never carries: red[a + b] is the code of the sum, and log
+        (and chi()) accept such a sum too. For a primitive g, exp[k] is the
+        code of g^k, so exp[log[a] + log[b]] is the product; log 0 is a
+        sentinel past which exp reads 0. -1 = g^((q-1)/2) has the code p - 1,
+        so -a is exp[log[a] + log[p - 1]].
+        """
+        p, q, r = self.p, self.q, self.r
+        base = 2 * p - 1
+        codes = list(range(p))
+        red = codes + codes[:-1]
+        for j in range(1, r):
+            step = base ** j
+            red = [d % p * step + s for d in range(base) for s in red]
+            codes = [d * step + c for d in range(p) for c in codes]
+
+        def multiples(v, n):  # codes of d*v for d < n, doubling the run
+            run = [0]
+            while len(run) < n:
+                shift = red[run[-1] + v]
+                run += [red[shift + c] for c in run]
+            return run[:n]
+
+        # primitive g: g^((q-1)/l) != 1 for every prime l | q-1. 1 never is,
+        # nor any constant if r > 1, so a zero top coefficient goes last
+        top = p ** (r - 1)
+        exponents = [(q - 1) // l for l in _modpoly.prime_divisors(q - 1)]
+        for i in itertools.chain(range(max(top, 2), q), range(2, top)):
+            g = self.decode(i)
+            if all(g ** e != self.one for e in exponents):
+                break
+        # u -> u*g on codes, linear in the digits of u: digit d at place j
+        # adds d * theta^j g (the top digit of a code is below p)
+        cols = [multiples(codes[self.encode(g * self.generator() ** j)],
+                          base if j < r - 1 else p) for j in range(r)]
+        times_g = cols[0]
+        for col in cols[1:]:
+            times_g = [red[c + t] for c in col for t in times_g]
+        zero_log = 2 * (q - 1)  # above any sum of two logs of nonzero codes
+        log, powers, u = [zero_log] * len(red), [], 1
+        for k in range(q - 1):
+            log[u] = k
+            powers.append(u)
+            u = times_g[u]
+        log = list(map(log.__getitem__, red))
+        return FqTables(codes, red, log, powers * 2 + [0] * (2 * q - 1))
 
     def chi(self, u):
         """Quadratic character of u via the cached squares table."""
@@ -122,6 +169,20 @@ class FqField:
         if self.r == 1:
             return f"F_{self.p}"
         return f"F_{self.q} = F_{self.p}[x]/{list(self.modulus)}"
+
+
+class FqTables(NamedTuple):
+    """Integer-coded arithmetic of one field; see FqField.tables."""
+
+    codes: list  # code of each element, in enumeration order
+    red: list  # red[a + b]: code of the field sum of codes a and b
+    log: list  # log[s]: discrete log of red[s]; log[0] is the zero sentinel
+    exp: list  # exp[k]: code of g^k; 0 from the sentinel on
+
+    def chi(self):
+        """chi[s], the quadratic character of red[s]: the parity of log."""
+        sign = [1, -1] * (self.log[0] // 2) + [0]
+        return list(map(sign.__getitem__, self.log))
 
 
 class FqElem:

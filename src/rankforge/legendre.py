@@ -3,9 +3,12 @@
 For a != 0 the t-sum of chi(a t^2 + b t + c) collapses to (q-1)chi(a) when
 the discriminant vanishes and -chi(a) otherwise; quad_sum_brute is the
 independent enumeration oracle, conic_count the point count on
-s^2 = a t^2 + b t + c.
+s^2 = a t^2 + b t + c. These work on FqElem and are the reference path.
+verify_quad_sums checks the closed form against enumeration in bulk, in
+one integer loop over the code tables of FqField.tables for every q.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -86,17 +89,8 @@ class SweepResult:
 
 def odd_prime_powers(limit):
     """(q, p, r) for every odd prime power q <= limit, ascending in q."""
-    out = []
-    for p in sieve(limit):
-        if p == 2:
-            continue
-        q, r = p, 1
-        while q <= limit:
-            out.append((q, p, r))
-            q *= p
-            r += 1
-    out.sort()
-    return out
+    return sorted((p ** r, p, r) for p in sieve(limit) if p != 2
+                  for r in range(1, limit.bit_length()) if p ** r <= limit)
 
 
 def standard_field(p, r):
@@ -104,51 +98,25 @@ def standard_field(p, r):
     return FqField(p, find_irreducible(p, r), check_irreducible=False)
 
 
-def _sweep_prime(p, triples):
-    """Closed-vs-brute check over F_p with plain int arithmetic."""
-    chi = [0] * p
-    for v in range(1, p):
-        chi[v * v % p] = 1
-    for v in range(1, p):
-        if chi[v] == 0:
-            chi[v] = -1
-    tt = [t * t % p for t in range(p)]
+def _sweep(fld, triples):
+    """Closed-vs-brute check over F_q on integer codes (FqField.tables)."""
+    q = fld.q
+    codes, red, log, exp = tables = fld.tables()
+    chi = tables.chi()
+    t_logs = [(log[exp[lt + lt]], lt) for lt in map(log.__getitem__, codes)]
+    four = log[codes[4 % fld.p]]  # constants embed along the prime subfield
     mism = viol = checked = 0
     for a, b, c in triples:
+        la, lb, c = log[codes[a]], log[codes[b]], codes[c]
         s = 0
-        for t in range(p):
-            s += chi[(a * tt[t] + b * t + c) % p]
-        disc = (b * b - 4 * a * c) % p
-        closed = (p - 1) * chi[a] if disc == 0 else -chi[a]
-        if closed != s:
+        for ltt, lt in t_logs:
+            s += chi[red[exp[la + ltt] + exp[lb + lt]] + c]
+        degenerate = exp[lb + lb] == exp[four + log[exp[la + log[c]]]]
+        chi_a = chi[codes[a]]
+        if s != ((q - 1) * chi_a if degenerate else -chi_a):
             mism += 1
         # the parametrization bound applies to the nondegenerate conic only
-        if disc != 0 and not (p - 1 <= p + s <= p + 1):
-            viol += 1
-        checked += 1
-    return checked, mism, viol
-
-
-def _sweep_extension(fld, triples):
-    """Same check over F_{p^r} using encoded add/mul tables."""
-    q, p = fld.q, fld.p
-    elems = fld.elements()
-    chi = fld.chi_table()
-    add = [[fld.encode(u + v) for v in elems] for u in elems]
-    mul = [[fld.encode(u * v) for v in elems] for u in elems]
-    four = 4 % p  # constants embed along the prime subfield
-    tt = [mul[t][t] for t in range(q)]
-    mism = viol = checked = 0
-    for a, b, c in triples:
-        ma, mb = mul[a], mul[b]
-        s = 0
-        for t in range(q):
-            s += chi[add[add[ma[tt[t]]][mb[t]]][c]]
-        disc = add[mul[b][b]][mul[mul[four][a]][fld.encode(-elems[c])]]
-        closed = (q - 1) * chi[a] if disc == 0 else -chi[a]
-        if closed != s:
-            mism += 1
-        if disc != 0 and not (q - 1 <= q + s <= q + 1):
+        if not degenerate and not q - 1 <= q + s <= q + 1:
             viol += 1
         checked += 1
     return checked, mism, viol
@@ -165,19 +133,12 @@ def verify_quad_sums(max_q=343, exhaustive_max_q=49, seed=0, samples=1000):
     for q, p, r in odd_prime_powers(max_q):
         exhaustive = q <= exhaustive_max_q
         if exhaustive:
-            triples = ((a, b, c)
-                       for a in range(1, q)
-                       for b in range(q)
-                       for c in range(q))
+            triples = itertools.product(range(1, q), range(q), range(q))
         else:
             rng = random.Random(seed * 1000003 + q)
             triples = ((rng.randrange(1, q), rng.randrange(q), rng.randrange(q))
                        for _ in range(samples))
-        if r == 1:
-            checked, mism, viol = _sweep_prime(p, triples)
-        else:
-            fld = standard_field(p, r)
-            checked, mism, viol = _sweep_extension(fld, triples)
+        checked, mism, viol = _sweep(standard_field(p, r), triples)
         results.append(SweepResult(
             q=q, p=p, r=r,
             mode="exhaustive" if exhaustive else "random",

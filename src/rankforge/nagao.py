@@ -3,14 +3,16 @@ partial sums whose limit is the generic rank.
 
 The direct method enumerates all N(P) fibers at cost O(q^2); the analytic
 method collapses the t-sum with the closed-form quadratic character sum and
-costs O(q). At good primes both give the average -6 exactly.
+costs O(q). At good primes both give the average -6 exactly. Both loop over
+the integer codes of FqField.tables for every residue degree; curve_trace
+and trace_a_t are the FqElem reference path the tests check them against.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _modpoly
 from .errors import BadPrime, InvalidArgument, RankforgeError
 from .family import fiber_polynomial, is_good_prime, reduce_family
 from .number_field import enumerate_prime_ideals
@@ -55,36 +57,25 @@ def _reduced(fam, P, allow_bad=False):
 def average_A_p_direct(fam, P, allow_bad=False):
     """Average of a_t over all fibers, by full enumeration. O(q^2)."""
     reduced = _reduced(fam, P, allow_bad)
-    gbar, hbar = reduced.g, reduced.h
     fld = P.residue_field
-    q, p = fld.q, fld.p
+    codes, red, log, exp = tables = fld.tables()
+    chi = tables.chi()
+    g = [codes[fld.encode(c)] for c in reduced.g]
+    minus_h = [codes[fld.encode(-c)] for c in reduced.h]
+    cols = []  # per x: log x^3, log 2g(x) and -h(x), by Horner
+    for lx in map(log.__getitem__, codes):
+        gx = hx = 0
+        for c in reversed(g):
+            gx = red[exp[log[gx] + lx] + c]
+        for c in reversed(minus_h):
+            hx = red[exp[log[hx] + lx] + c]
+        cols.append((log[exp[log[exp[lx + lx]] + lx]], log[gx + gx], hx))
     total = 0
-    if fld.r == 1:
-        chi = fld.chi_table()
-        gi = [c.coeffs[0] for c in gbar]
-        hi = [c.coeffs[0] for c in hbar]
-        gx = [_modpoly.eval_at(gi, x, p) for x in range(p)]
-        hx = [_modpoly.eval_at(hi, x, p) for x in range(p)]
-        x3 = [pow(x, 3, p) for x in range(p)]
-        for t in range(p):
-            tt = t * t % p
-            s = 0
-            for x in range(p):
-                s += chi[(tt * x3[x] + 2 * gx[x] * t - hx[x]) % p]
-            total -= s
-    else:
-        chi = fld.chi
-        elems = fld.elements()
-        gvals = {x: _horner(gbar, x, fld) for x in elems}
-        hvals = {x: _horner(hbar, x, fld) for x in elems}
-        for t in elems:
-            tt = t * t
-            s = 0
-            for x in elems:
-                v = gvals[x] * t
-                s += chi(tt * x * x * x + v + v - hvals[x])
-            total -= s
-    return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, q),
+    for lt in map(log.__getitem__, codes):
+        ltt = log[exp[lt + lt]]
+        for lx3, l2g, mh in cols:
+            total -= chi[red[exp[ltt + lx3] + exp[lt + l2g]] + mh]
+    return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, fld.q),
                     method="direct", good=reduced.reason is None)
 
 
@@ -94,31 +85,23 @@ def average_A_p_analytic(fam, P, allow_bad=False):
     For fixed x != 0 the t-sum is quadratic with leading coefficient x^3
     and discriminant 4 D_T(x), so it contributes (q-1)chi(x) at roots of
     D_T and -chi(x) elsewhere; the x = 0 column vanishes at good primes.
+    chi sums to 0 over F_q^*, so sum_a_t = -q * (sum of chi over the roots).
     """
     reduced = _reduced(fam, P, allow_bad)
-    dtbar = reduced.D_T
     fld = P.residue_field
-    q, p = fld.q, fld.p
-    s = 0
-    if fld.r == 1:
-        chi = fld.chi_table()
-        dti = [c.coeffs[0] for c in dtbar]
-        for x in range(1, p):
-            v = _modpoly.eval_at(dti, x, p)
-            if v == 0:
-                s += (q - 1) * chi[x]
-            else:
-                s -= chi[x]
-    else:
-        chi = fld.chi
-        for x in fld.elements()[1:]:
-            v = _horner(dtbar, x, fld)
-            if not v:
-                s += (q - 1) * chi(x)
-            else:
-                s -= chi(x)
-    total = -s
-    return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, q),
+    n = fld.q - 1
+    codes, red, log, exp = fld.tables()
+    # D_T at every x = g^k (k < n, so chi(x) = (-1)^k), a monomial at a
+    # time: c x^j = g^(log c + j k) is a stride-j slice of repeated powers
+    powers = exp[:n] * len(reduced.D_T)
+    values = [codes[fld.encode(reduced.D_T[0])]] * n
+    for j, c in enumerate(reduced.D_T[1:], 1):
+        if c:
+            lc = log[codes[fld.encode(c)]]
+            values = list(map(red.__getitem__, map(
+                operator.add, values, powers[lc:lc + j * n:j])))
+    total = -fld.q * (values[::2].count(0) - values[1::2].count(0))
+    return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, fld.q),
                     method="analytic", good=reduced.reason is None)
 
 
@@ -217,9 +200,3 @@ def rank_estimate(fam, X, method="analytic"):
                         residual=normalized - nearest,
                         low_confidence=last.ideals_used == 0)
 
-
-def _horner(coeffs, x, fld):
-    acc = fld.zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

@@ -35,6 +35,15 @@ def fam_sqrt5(K_sqrt5):
     return construct_family(spec)
 
 
+@pytest.fixture(scope="session")
+def fam_cbrt2():
+    """rho = (1, 2, theta, 1 + theta, theta^2, 2 + theta), alpha = 1 over
+    Q(2^(1/3)): 7 is inert there, so it reaches residue degree 3."""
+    K = NumberField([-2, 0, 0, 1])
+    rho = [K.elem(c) for c in ([1], [2], [0, 1], [1, 1], [0, 0, 1], [2, 1])]
+    return construct_family(FamilySpec(K=K, rho=tuple(rho), alpha=K.one))
+
+
 def ideal_above(K, p, X=None):
     """First prime ideal above p with norm <= X (or any norm)."""
     from rankforge import enumerate_prime_ideals

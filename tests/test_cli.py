@@ -110,6 +110,26 @@ def test_nagao_ap_bad_prime_exits_1(runner, family_file):
     assert "bad prime" in res.output
 
 
+def test_nagao_ap_even_prime_exits_1(runner, family_file):
+    res = runner.invoke(main, ["nagao", "ap", "--family", family_file,
+                               "--p", "2"])
+    assert res.exit_code == 1
+    assert "bad prime: even residue characteristic 2" in res.output
+
+
+def test_identity_failure_is_not_a_usage_error(runner, family_file,
+                                               monkeypatch):
+    from rankforge import family
+    from rankforge.errors import InternalIdentityFailure
+
+    monkeypatch.setattr(family, "expand_from_roots",
+                        lambda roots, lead: family.Poly([lead]))
+    res = runner.invoke(main, ["rank", "--family", family_file,
+                               "--max-norm", "100"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, InternalIdentityFailure)
+
+
 def test_nagao_series_deterministic(runner, family_file, tmp_path):
     args = ["nagao", "series", "--family", family_file,
             "--max-norm", "300", "--checkpoints", "100,300"]
@@ -188,6 +208,43 @@ MALFORMED = {
     "construct missing rho": (_without("rho"), ["family", "construct"], {}),
     "seed not an integer": (
         None, ["legendre", "verify", "--max-q", "9"], {"RANKFORGE_SEED": "abc"}),
+    "min_poly not monic": (
+        {**FAMILY_Q, "field": {"min_poly": "0,2"}}, ["rank", "--max-norm", "100"], {}),
+    "min_poly with a rational root": (
+        {**FAMILY_Q, "field": {"min_poly": "-4,0,1"}},
+        ["rank", "--max-norm", "100"], {}),
+    "min_poly not squarefree": (
+        {**FAMILY_Q, "field": {"min_poly": "1,2,1"}},
+        ["rank", "--max-norm", "100"], {}),
+    "min_poly not known irreducible": (
+        {**FAMILY_Q, "field": {"min_poly": "1,0,0,0,1"}},
+        ["rank", "--max-norm", "100"], {}),
+    "min_poly not integral": (
+        {**FAMILY_Q, "field": {"min_poly": "3/2,0,1"}},
+        ["rank", "--max-norm", "100"], {}),
+    "excluded_primes not integers": (
+        {**FAMILY_Q, "field": {"min_poly": "-1,-1,1", "excluded_primes": ["a"]}},
+        ["rank", "--max-norm", "100"], {}),
+    "excluded_primes not a list": (
+        {**FAMILY_Q, "field": {"min_poly": "-1,-1,1", "excluded_primes": 5}},
+        ["rank", "--max-norm", "100"], {}),
+    "repeated root": (
+        {**FAMILY_Q, "rho": ["1", "2", "3", "4", "5", "-5"]},
+        ["rank", "--max-norm", "100"], {}),
+    "zero rho": (
+        {**FAMILY_Q, "rho": ["1", "2", "0", "4", "5", "6"]},
+        ["rank", "--max-norm", "100"], {}),
+    "zero alpha": ({**FAMILY_Q, "alpha": "0"}, ["rank", "--max-norm", "100"], {}),
+    "construct zero alpha": ({**FAMILY_Q, "alpha": "0"}, ["family", "construct"], {}),
+    "field info modulus does not parse": (
+        None, ["field", "info", "--p", "3", "--modulus", "abc"], {}),
+    "field info p not a prime": (
+        None, ["field", "info", "--p", "4", "--modulus", "0,1"], {}),
+    "field info reducible modulus": (
+        None, ["field", "info", "--p", "5", "--modulus", "-1,0,1"], {}),
+    "nagao ap p zero": (
+        {**FAMILY_Q, "field": FIELD_SQRT5}, ["nagao", "ap", "--p", "0"], {}),
+    "nagao ap p composite": (FAMILY_Q, ["nagao", "ap", "--p", "9"], {}),
 }
 
 

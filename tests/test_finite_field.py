@@ -157,3 +157,41 @@ def test_field_axioms_random(p, data):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert (a - b) + b == a
+
+
+def _code(fld, u):
+    """The documented code of u: its coefficients as base-(2p-1) digits."""
+    return sum(c * (2 * fld.p - 1) ** i for i, c in enumerate(u.coeffs))
+
+
+@pytest.mark.parametrize("q,p,r", odd_prime_powers(125))
+def test_tables_match_reference_exhaustively(q, p, r):
+    fld = standard_field(p, r)
+    t = fld.tables()
+    chi = t.chi()
+    elems = enumerate_elements(fld)
+    codes = [_code(fld, u) for u in elems]
+    assert t.codes == codes
+    elem_of = dict(zip(codes, elems))
+    assert len(elem_of) == q
+    minus_one = t.log[p - 1]
+    assert minus_one == (q - 1) // 2
+    for a, u in zip(codes, elems):
+        assert t.red[a] == a
+        assert chi[a] == quadratic_character(u)
+        minus_a = t.exp[t.log[a] + minus_one]
+        assert elem_of[minus_a] == -u
+        for b, v in zip(codes, elems):
+            s = a + b  # carry-free: every digit stays below 2p - 1
+            assert elem_of[t.red[s]] == u + v
+            assert t.log[s] == t.log[t.red[s]] and chi[s] == chi[t.red[s]]
+            minus_b = t.exp[t.log[b] + minus_one]
+            assert elem_of[t.red[a + minus_b]] == u - v
+            assert elem_of[t.exp[t.log[a] + t.log[b]]] == u * v
+
+
+def test_tables_are_built_per_call():
+    fld = standard_field(3, 2)
+    kept = dict(vars(fld))
+    assert fld.tables() is not fld.tables()
+    assert vars(fld) == kept

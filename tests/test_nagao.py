@@ -30,12 +30,17 @@ def test_curve_trace_oracle_f5():
     assert points == 5 + 1 - 2
 
 
-def test_trace_sums_to_direct_total(fam_rat):
-    P = ideal_above(fam_rat.K, 37)
+@pytest.mark.parametrize("fam_name, p, norm", [
+    ("fam_rat", 37, 37), ("fam_sqrt5", 13, 169)], ids=["Q-37", "sqrt5-169"])
+def test_trace_sums_to_direct_total(request, fam_name, p, norm):
+    # the FqElem fiber traces are the reference for the integer-coded kernel
+    fam = request.getfixturevalue(fam_name)
+    P = ideal_above(fam.K, p, norm)
+    assert P.norm == norm
     fld = P.residue_field
-    total = sum(trace_a_t(fam_rat, P, t) for t in fld.elements())
-    res = average_A_p_direct(fam_rat, P)
-    assert total == res.sum_a_t == -6 * 37
+    total = sum(trace_a_t(fam, P, t) for t in fld.elements())
+    res = average_A_p_direct(fam, P)
+    assert total == res.sum_a_t == -6 * norm
 
 
 def test_ap_examples(fam_rat):
@@ -71,6 +76,19 @@ def test_sqrt5_inert_prime(fam_sqrt5):
     assert P.norm == 169
     assert average_A_p_analytic(fam_sqrt5, P).A_p == -6
     assert average_A_p_direct(fam_sqrt5, P).A_p == -6
+
+
+def test_residue_degree_three(fam_cbrt2):
+    inert = ideal_above(fam_cbrt2.K, 7)
+    assert (inert.f, inert.norm) == (3, 343)
+    good = [P for P in enumerate_prime_ideals(fam_cbrt2.K, 200)
+            if is_good_prime(fam_cbrt2, P)[0]]
+    assert any(P.label() == "(11, 5,7,1)" for P in good)  # r = 2
+    for P in [inert, *good]:
+        d = average_A_p_direct(fam_cbrt2, P)
+        a = average_A_p_analytic(fam_cbrt2, P)
+        assert d.sum_a_t == a.sum_a_t == -6 * P.norm
+        assert d.A_p == a.A_p == -6
 
 
 def test_hasse_bound_nonsingular_fibers(fam_rat):
