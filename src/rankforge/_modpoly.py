@@ -3,6 +3,10 @@
 Coefficients are ints in [0, p), constant term first, no trailing zeros;
 the zero polynomial is []. Shared by the finite-field and factorization
 code so neither has to depend on the other.
+
+mulmod is the one multiply-mod-m kernel: powmod, and through it the
+factorization and irreducibility tests, and FqElem multiplication all run
+on it. Its modulus m must be monic, and its operands reduced mod m.
 """
 
 
@@ -53,16 +57,14 @@ def divmod_(f, g, p):
         raise ZeroDivisionError("polynomial division by zero")
     f = list(f)
     dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
+    inv_lead = 1 if g[-1] == 1 else pow(g[-1], p - 2, p)
     quo = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        k = len(f) - 1 - dg
-        c = f[-1] * inv_lead % p
-        quo[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = (f[k + i] - c * b) % p
-        trim(f)
-    return trim(quo), f
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = f[k + dg] * inv_lead % p
+        if c:
+            for i in range(dg):
+                f[k + i] -= c * g[i]
+    return trim(quo), trim([c % p for c in f[:dg]])
 
 
 def mod(f, g, p):
@@ -81,17 +83,38 @@ def gcd(f, g, p):
     return monic(f, p)
 
 
+def mulmod(a, b, m, p):
+    """a * b mod m for monic m and a, b of degree below deg m: a schoolbook
+    product, then a descending reduction by m, one % p per coefficient."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    dm = len(m) - 1
+    for k in range(len(out) - 1, dm - 1, -1):
+        c = out[k] % p
+        if c:
+            for i in range(dm):
+                out[k - dm + i] -= c * m[i]
+    return trim([c % p for c in out[:dm]])
+
+
 def powmod(f, e, m, p):
-    """f^e mod m, square and multiply; a constant f stays in F_p."""
+    """f^e mod a monic m, left-to-right square and multiply; a constant f
+    stays in F_p."""
     if len(f) <= 1:
         return trim([pow(f[0] if f else 0, e, p)])
-    result = [1]
+    if e == 0:
+        return [1]
     f = mod(f, m, p)
-    while e > 0:
-        if e & 1:
-            result = mod(mul(result, f, p), m, p)
-        f = mod(mul(f, f, p), m, p)
-        e >>= 1
+    result = f
+    for bit in bin(e)[3:]:
+        result = mulmod(result, result, m, p)
+        if bit == "1":
+            result = mulmod(result, f, m, p)
     return result
 
 

@@ -16,6 +16,7 @@ import click
 
 from . import legendre as legendre_mod
 from . import nagao as nagao_mod
+from ._modpoly import prime_divisors
 from .errors import InvalidArgument, RankforgeError, RepeatedRoot, ZeroAlpha
 from .errors import ZeroRoot
 from .family import FamilySpec, construct_family, is_good_prime
@@ -87,12 +88,21 @@ def _load_field_spec(obj):
         raise InvalidArgument(
             f"excluded_primes must be a list of integers, got {excluded!r}")
     try:
-        return NumberField(
+        K = NumberField(
             min_poly,
             excluded_primes=excluded,
             assert_irreducible=obj.get("assert_irreducible", False))
     except RankforgeError as exc:
         raise InvalidArgument(f"field spec: {exc}") from None
+    if excluded is not None:
+        # Dedekind's factorization can mislabel the primes above such a p
+        kept = ", ".join(str(p) for p in prime_divisors(abs(K.disc_m))
+                         if p not in K.excluded_primes)
+        if kept:
+            click.echo(f"warning: excluded_primes leaves out {kept}, which "
+                       f"divide disc(m) = {K.disc_m}; Z[theta] may not be "
+                       "maximal there", err=True)
+    return K
 
 
 def _load_field(path):

@@ -233,9 +233,7 @@ class FqElem:
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        prod = _modpoly.mod(
-            _modpoly.mul(list(self.coeffs), list(other.coeffs), f.p),
-            list(f.modulus), f.p)
+        prod = _modpoly.mulmod(self.coeffs, other.coeffs, f.modulus, f.p)
         prod += [0] * (f.r - len(prod))
         return FqElem(f, tuple(prod))
 

@@ -228,8 +228,10 @@ def roots_in_fq(f, field):
 
 def _sff(f, p):
     """Squarefree decomposition of monic f; yields (factor, multiplicity)."""
-    out = []
     c = _modpoly.gcd(f, _modpoly.deriv(f, p), p)
+    if c == [1]:
+        return [(f, 1)]
+    out = []
     w = _modpoly.divmod_(f, c, p)[0]
     i = 1
     while len(w) > 1:
@@ -276,6 +278,8 @@ def _edf(f, d, p, rng):
         # exhaustive root search for tiny prime fields
         return sorted(
             [[(-x) % p, 1] for x in range(p) if _modpoly.eval_at(f, x, p) == 0])
+    if d == 1 and n == 2:
+        return [g for g, _ in _factor_quadratic(f, p)]
     e = (p ** d - 1) // 2
     while True:
         a = [rng.randrange(p) for _ in range(n)]
@@ -313,7 +317,10 @@ def factor_mod_p(m, p):
 
     Returns a list of (Poly with int coefficients in [0, p), multiplicity),
     sorted by (degree, coefficients). Deterministic: the equal-degree
-    splitting RNG is seeded from (m, p).
+    splitting RNG is seeded from (m, p). Squarefree factorization is skipped
+    when gcd(f, f') = 1, as at every prime not dividing disc(m); quadratics,
+    and degree-2 products of linear factors inside the equal-degree split,
+    are split by the quadratic formula.
     """
     if p == 2:
         raise EvenCharacteristic("p = 2 is rejected")

@@ -61,6 +61,34 @@ def test_ideals_list(runner, tmp_path):
     assert "excluded rational primes skipped: [2]" in res.output
 
 
+# x^2 + 3: disc(m) = -12, and Z[theta] is not maximal at 2, where Dedekind
+# reads (x + 1)^2 as a ramified prime of norm 2 although 2 is inert in
+# Z[(1 + sqrt -3)/2]
+@pytest.mark.parametrize("excluded, warned", [
+    ([], "2, 3"), ([2], "3"), ([2, 3], None), (None, None)])
+def test_excluded_primes_leaving_out_disc_primes_warns(runner, tmp_path,
+                                                       excluded, warned):
+    spec = {"min_poly": "3,0,1"}
+    if excluded is not None:
+        spec["excluded_primes"] = excluded
+    path, out = tmp_path / "field.json", tmp_path / "ideals.csv"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["ideals", "list", "--field", str(path),
+                               "--max-norm", "10", "--out", str(out)])
+    assert res.exit_code == 0
+    skipped = [2, 3] if excluded is None else excluded
+    rows = out.read_text().splitlines()
+    assert ('2,2,1,2,"1,1"' in rows) == (2 not in skipped)
+    # with the table in a file, the output holds only the stderr lines
+    warnings = [l for l in res.output.splitlines() if "warning" in l]
+    if warned is None:
+        assert warnings == []
+    else:
+        assert warnings == [
+            f"warning: excluded_primes leaves out {warned}, which divide "
+            "disc(m) = -12; Z[theta] may not be maximal there"]
+
+
 def test_landau(runner, field_file):
     res = runner.invoke(main, ["landau", "--field", field_file,
                                "--max-norm", "100"])

@@ -1,0 +1,77 @@
+"""factor_mod_p and the Dedekind ideal lists against sympy's independent
+factorization over F_p (factor_list with modulus=p)."""
+
+import random
+
+import pytest
+
+from rankforge import NumberField, factor_mod_p
+from rankforge._modpoly import mul
+from rankforge.number_field import prime_ideals_above
+from rankforge.primes import sieve
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.symbols("x")
+PRIMES = [p for p in sieve(50000) if p > 2]
+
+
+def sympy_factors(coeffs, p):
+    """Sorted (coefficients constant first in [0, p), multiplicity) of the
+    monic polynomial coeffs over F_p, as sympy finds them."""
+    poly = sympy.Poly(list(reversed(coeffs)), X, modulus=p)
+    lead, factors = poly.factor_list()
+    assert lead % p == 1
+    out = [([int(c) % p for c in reversed(g.all_coeffs())], e)
+           for g, e in factors]
+    return sorted(out, key=lambda t: (len(t[0]), t[0][::-1]))
+
+
+def ours(coeffs, p):
+    return [(list(g.coeffs), e) for g, e in factor_mod_p(coeffs, p)]
+
+
+def random_monic(rng, p, degree):
+    return [rng.randrange(p) for _ in range(degree)] + [1]
+
+
+@pytest.mark.parametrize("small", [True, False], ids=["p<50", "p<5e4"])
+def test_factor_mod_p_matches_sympy(small):
+    rng = random.Random(small)
+    pool = [p for p in PRIMES if p < 50] if small else PRIMES
+    for _ in range(300):
+        p = rng.choice(pool)
+        coeffs = random_monic(rng, p, rng.randint(2, 6))
+        assert ours(coeffs, p) == sympy_factors(coeffs, p), (coeffs, p)
+
+
+def test_factor_mod_p_matches_sympy_not_squarefree():
+    rng = random.Random(7)
+    for i in range(300):
+        p = rng.choice(PRIMES[:12] if i % 2 else PRIMES)
+        a = random_monic(rng, p, rng.randint(1, 2))
+        b = random_monic(rng, p, rng.randint(0, 2))
+        coeffs = mul(mul(a, a, p), b, p)
+        assert ours(coeffs, p) == sympy_factors(coeffs, p), (coeffs, p)
+
+
+def test_factor_mod_p_matches_sympy_p_th_power():
+    # x^p - 2 = (x - 2)^p over F_p: the p-th-root branch of the SFF
+    for p in (3, 5, 7):
+        coeffs = [p - 2] + [0] * (p - 1) + [1]
+        assert ours(coeffs, p) == sympy_factors(coeffs, p)
+
+
+@pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [-2, 0, 0, 0, 1],
+                                      [-1, -1, 0, 0, 0, 1]],
+                         ids=["x3-2", "x4-2", "x5-x-1"])
+def test_prime_ideals_above_match_sympy(min_poly):
+    K = NumberField(min_poly)
+    rng = random.Random(len(min_poly))
+    ps = [p for p in PRIMES if p not in K.excluded_primes]
+    for p in sorted(rng.sample(ps, 60) + ps[:10]):
+        got = [(P.p, list(P.factor.coeffs), P.f, P.e, P.norm)
+               for P in prime_ideals_above(K, p)]
+        want = [(p, g, len(g) - 1, e, p ** (len(g) - 1))
+                for g, e in sympy_factors(min_poly, p)]
+        assert got == want, p

@@ -1,0 +1,142 @@
+"""The multiply-mod-m kernel, powmod and divmod_ against a schoolbook
+reference: a plain product (_modpoly.mul) followed by long division written
+out here, and powers by right-to-left square and multiply on that product."""
+
+import random
+
+import pytest
+
+from rankforge import _modpoly
+from rankforge.primes import sieve
+
+PRIMES = [p for p in sieve(50000) if p > 2]
+
+
+def long_division(f, g, p):
+    """(quotient, remainder) of f by g over F_p, one leading term at a time."""
+    inv = pow(g[-1], -1, p)
+    rem = [c % p for c in f]
+    quo = [0] * max(len(rem) - len(g) + 1, 0)
+    while True:
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) < len(g):
+            break
+        k = len(rem) - len(g)
+        c = rem[-1] * inv % p
+        quo[k] = c
+        rem = [(r - c * g[i - k]) % p if k <= i < k + len(g) else r
+               for i, r in enumerate(rem)]
+    while quo and quo[-1] == 0:
+        quo.pop()
+    return quo, rem
+
+
+def ref_mulmod(a, b, m, p):
+    return long_division(_modpoly.mul(a, b, p), m, p)[1]
+
+
+def ref_powmod(f, e, m, p):
+    """Right to left over the bits of e, on the reference product."""
+    result = long_division([1], m, p)[1]
+    f = long_division(f, m, p)[1]
+    while e:
+        if e & 1:
+            result = ref_mulmod(result, f, m, p)
+        f = ref_mulmod(f, f, m, p)
+        e >>= 1
+    return result
+
+
+def rand_poly(rng, p, length):
+    return _modpoly.trim([rng.randrange(p) for _ in range(length)])
+
+
+def rand_monic(rng, p, degree):
+    return [rng.randrange(p) for _ in range(degree)] + [1]
+
+
+def is_reduced(f, p):
+    return all(0 <= c < p for c in f) and (not f or f[-1] != 0)
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_mulmod_matches_reference(degree):
+    rng = random.Random(degree)
+    for _ in range(200):
+        p = rng.choice(PRIMES)
+        m = rand_monic(rng, p, degree)
+        a = rand_poly(rng, p, rng.randint(0, degree))
+        b = rand_poly(rng, p, rng.randint(0, degree))
+        got = _modpoly.mulmod(a, b, m, p)
+        assert is_reduced(got, p)
+        assert got == ref_mulmod(a, b, m, p)
+
+
+def test_mulmod_edge_operands():
+    p, m = 7, [3, 0, 1]
+    assert _modpoly.mulmod([], [1, 2], m, p) == []
+    assert _modpoly.mulmod([0, 0], [0, 0], m, p) == []  # zero-padded zero
+    assert _modpoly.mulmod([5], [4], m, p) == [6]
+    assert _modpoly.mulmod([0, 1], [0, 1], m, p) == [4]  # x^2 = -3
+    assert _modpoly.mulmod((2, 0), (3, 0), (3, 0, 1), p) == [6]  # tuples
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_powmod_matches_reference(degree):
+    rng = random.Random(100 + degree)
+    for _ in range(40):
+        p = rng.choice(PRIMES)
+        m = rand_monic(rng, p, degree)
+        bases = [rand_poly(rng, p, rng.randint(2, degree + 3)),
+                 [rng.randrange(1, p)], []]
+        for f in bases:
+            for e in (0, 1, 2, 3, rng.randrange(10 ** 3), p ** degree - 1,
+                      rng.randrange(10 ** 30)):
+                got = _modpoly.powmod(f, e, m, p)
+                assert is_reduced(got, p)
+                assert got == ref_powmod(f, e, m, p), (f, e, m, p)
+
+
+def test_powmod_exponent_zero_is_one():
+    assert _modpoly.powmod([2, 3, 1], 0, [1, 1], 5) == [1]
+    assert _modpoly.powmod([4], 0, [1, 0, 1], 5) == [1]
+    assert _modpoly.powmod([], 0, [1, 0, 1], 5) == [1]
+    assert _modpoly.powmod([], 3, [1, 0, 1], 5) == []
+
+
+def test_powmod_base_divisible_by_modulus():
+    m = [2, 0, 1]
+    assert _modpoly.powmod(_modpoly.mul(m, [1, 4], 7), 5, m, 7) == []
+
+
+@pytest.mark.parametrize("monic", [True, False])
+def test_divmod_matches_reference(monic):
+    rng = random.Random(monic)
+    for _ in range(500):
+        p = rng.choice(PRIMES)
+        g = rand_poly(rng, p, rng.randint(1, 7))
+        if not g:
+            continue
+        if monic:
+            g = _modpoly.scale(g, pow(g[-1], -1, p), p)
+        elif g[-1] == 1:
+            g[-1] = 2
+        f = rand_poly(rng, p, rng.randint(0, 12))
+        quo, rem = _modpoly.divmod_(f, g, p)
+        assert is_reduced(quo, p) and is_reduced(rem, p)
+        assert (quo, rem) == long_division(f, g, p)
+        assert _modpoly.add(_modpoly.mul(quo, g, p), rem, p) == f
+
+
+def test_divmod_short_dividend():
+    assert _modpoly.divmod_([3, 4], [1, 2, 5], 7) == ([], [3, 4])
+    assert _modpoly.divmod_([], [1, 2, 5], 7) == ([], [])
+    assert _modpoly.divmod_([6], [2, 3], 7) == ([], [6])
+
+
+def test_divmod_non_monic_divisor():
+    # 3x^2 + 2 = (2x + 1)(5x + 1) + 1 over F_7
+    assert _modpoly.divmod_([2, 0, 3], [1, 5], 7) == ([1, 2], [1])
+    with pytest.raises(ZeroDivisionError):
+        _modpoly.divmod_([1, 2], [], 7)
