@@ -20,7 +20,7 @@ from ._modpoly import prime_divisors
 from .errors import InvalidArgument, RankforgeError, RepeatedRoot, ZeroAlpha
 from .errors import ZeroRoot
 from .family import FamilySpec, construct_family, is_good_prime
-from .finite_field import FqField
+from .finite_field import FqField, quadratic_character
 from .number_field import NumberField, landau_sum, prime_ideals_above
 from .number_field import enumerate_prime_ideals
 from .poly import fraction_to_str, poly_from_str, poly_to_str
@@ -188,10 +188,10 @@ def field_info(p, modulus, out):
     except RankforgeError as exc:
         raise InvalidArgument(str(exc)) from None
     click.echo(f"q = {fld.q} (p = {fld.p}, r = {fld.r})")
-    sample = fld.elements()[: min(fld.q, 32)]
+    sample = map(fld.decode, range(min(fld.q, 32)))
     _write_csv(out, ["code", "coeffs", "chi"],
-               [[fld.encode(u), " ".join(map(str, u.coeffs)), fld.chi(u)]
-                for u in sample])
+               [[fld.encode(u), " ".join(map(str, u.coeffs)),
+                 quadratic_character(u)] for u in sample])
 
 
 @main.group()
@@ -281,7 +281,7 @@ def family_construct(spec_path, out):
 @family.command("badprimes")
 @click.option("--family", "family_path", required=True,
               type=click.Path(exists=True))
-@click.option("--max-p", type=int, required=True)
+@click.option("--max-p", type=int, required=True, callback=_at_least_one)
 def family_badprimes(family_path, max_p):
     """Rational primes p <= N with a bad ideal above them, with reasons."""
     _, fam = _load_family(family_path)

@@ -25,10 +25,6 @@ class DivisionByZero(RankforgeError, ZeroDivisionError):
 
 # polynomials
 
-class DomainMismatch(RankforgeError):
-    """Polynomial operands have incompatible coefficient domains."""
-
-
 class NonMonicDivisor(RankforgeError):
     """divmod over a non-field domain requires a monic divisor."""
 

@@ -167,8 +167,7 @@ def _reduce(fam, P):
         reason = f"alpha vanishes mod {P.p}"
     elif not all(rho_bars):
         reason = f"a root vanishes mod {P.p}"
-    elif any(root_bars[i] == root_bars[j]
-             for i in range(6) for j in range(i + 1, 6)):
+    elif len(set(root_bars)) < 6:
         reason = f"repeated roots mod {P.p}"
     else:
         reason = None
@@ -196,12 +195,11 @@ def fiber_polynomial(fam, P, t):
     reduced = reduce_family(fam, P)
     if reduced.g is None:
         raise BadPrime(reduced.reason)
-    gbar = reduced.g + (fld.zero,) * (4 - len(reduced.g))
     hbar = reduced.h + (fld.zero,) * (4 - len(reduced.h))
     tt = t * t
     coeffs = []
     for i in range(4):
-        v = gbar[i] * t
+        v = reduced.g[i] * t
         v = v + v - hbar[i]
         if i == 3:
             v = v + tt

@@ -33,15 +33,9 @@ class QuadSumInput:
         return self.a.field
 
 
-def _unpack(inp, b=None, c=None):
-    if isinstance(inp, QuadSumInput):
-        return inp.a, inp.b, inp.c
-    return QuadSumInput(inp, b, c).a, b, c
-
-
-def quad_sum_closed(inp, b=None, c=None):
+def quad_sum_closed(inp):
     """Closed form, valid only for a != 0 in odd characteristic."""
-    a, b, c = _unpack(inp, b, c)
+    a, b, c = inp.a, inp.b, inp.c
     if not a:
         raise ZeroLeadingCoefficient("closed form requires a != 0")
     fld = a.field
@@ -52,17 +46,17 @@ def quad_sum_closed(inp, b=None, c=None):
     return -chi_a
 
 
-def quad_sum_brute(inp, b=None, c=None):
+def quad_sum_brute(inp):
     """Direct enumeration of sum over t of chi(a t^2 + b t + c)."""
-    a, b, c = _unpack(inp, b, c)
+    a, b, c = inp.a, inp.b, inp.c
     fld = a.field
     chi = fld.chi
     return sum(chi(a * t * t + b * t + c) for t in fld.elements())
 
 
-def conic_count(inp, b=None, c=None):
+def conic_count(inp):
     """#{(s, t) : s^2 = a t^2 + b t + c} = q + quad_sum_brute."""
-    a, b, c = _unpack(inp, b, c)
+    a, b, c = inp.a, inp.b, inp.c
     fld = a.field
     chi = fld.chi
     return sum(1 + chi(a * t * t + b * t + c) for t in fld.elements())

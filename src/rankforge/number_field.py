@@ -5,8 +5,9 @@ mod p (Dedekind) gives the primes of O_K for every p outside the excluded
 set, which defaults to the primes dividing disc(m).
 """
 
+import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _modpoly
@@ -51,7 +52,7 @@ class NumberField:
                 raise RankforgeError("minimal polynomial has root 0")
             for d in _divisors(abs(c0)):
                 for r in (d, -d):
-                    if _int_poly_eval(self.m, r) == 0:
+                    if self.m_poly(r) == 0:
                         raise RankforgeError(
                             f"minimal polynomial has rational root {r}")
             return
@@ -211,16 +212,10 @@ class PrimeIdeal:
     f: int
     e: int
     norm: int
-    _cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
-    @property
+    @functools.cached_property
     def residue_field(self):
-        fld = self._cache.get("residue_field")
-        if fld is None:
-            fld = FqField(self.p, list(self.factor.coeffs),
-                          check_irreducible=False)
-            self._cache["residue_field"] = fld
-        return fld
+        return FqField(self.p, list(self.factor.coeffs), check_irreducible=False)
 
     def sort_key(self):
         return (self.norm, self.p, self.factor.coeffs)
@@ -269,38 +264,26 @@ def _factor_mod_two(m):
 
 
 def reduce_elem(x, P):
-    """Image of x in the residue field O_K/P (theta maps to the class of
-    the variable mod P.factor)."""
+    """Image of x in the residue field O_K/P = F_p[x]/(P.factor): one
+    remainder of its coordinates mod P.factor, so theta maps to the class
+    of the variable."""
     p = P.p
-    fld = P.residue_field
-    ints = []
     for c in x.coeffs:
         if c.denominator % p == 0:
             raise DenominatorNotInvertible(
                 f"denominator {c.denominator} not invertible mod {p}")
-        ints.append(c.numerator * pow(c.denominator, -1, p) % p)
-    theta = fld.generator() if fld.r > 1 else fld.elem(-P.factor.coeffs[0])
-    acc = fld.zero
-    for c in reversed(ints):
-        acc = acc * theta + c
-    return acc
+    return P.residue_field.elem(
+        [c.numerator * pow(c.denominator, -1, p) for c in x.coeffs])
 
 
 def landau_sum(K, X):
     """(sum of log N(P) over norms <= X, sum/X, ideal count).
 
-    Compensated (Kahan) summation; everything upstream is exact.
+    math.fsum rounds the sum once; everything upstream is exact.
     """
-    total = 0.0
-    comp = 0.0
-    count = 0
-    for P in enumerate_prime_ideals(K, X):
-        y = math.log(P.norm) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        count += 1
-    return total, (total / X if X else 0.0), count
+    logs = [math.log(P.norm) for P in enumerate_prime_ideals(K, X)]
+    total = math.fsum(logs)
+    return total, (total / X if X else 0.0), len(logs)
 
 
 def _divisors(n):
@@ -313,10 +296,3 @@ def _divisors(n):
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def _int_poly_eval(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

@@ -269,8 +269,9 @@ def _ddf(f, p):
     return out
 
 
-def _edf(f, d, p, rng):
-    """Equal-degree split (Cantor-Zassenhaus, odd p) into irreducibles."""
+def _edf(f, d, p):
+    """Equal-degree split (Cantor-Zassenhaus, odd p) into irreducibles; the
+    Cantor-Zassenhaus branch seeds its generator from (p, f)."""
     n = len(f) - 1
     if n == d:
         return [f]
@@ -281,6 +282,7 @@ def _edf(f, d, p, rng):
     if d == 1 and n == 2:
         return [g for g, _ in _factor_quadratic(f, p)]
     e = (p ** d - 1) // 2
+    rng = random.Random(hash((p, tuple(f))) ^ 0x5EED)
     while True:
         a = [rng.randrange(p) for _ in range(n)]
         _modpoly.trim(a)
@@ -290,7 +292,7 @@ def _edf(f, d, p, rng):
         g = _modpoly.gcd(b, f, p)
         if 1 < len(g) < len(f):
             rest = _modpoly.divmod_(f, g, p)[0]
-            return _edf(g, d, p, rng) + _edf(rest, d, p, rng)
+            return _edf(g, d, p) + _edf(rest, d, p)
 
 
 def _factor_quadratic(f, p):
@@ -316,11 +318,12 @@ def factor_mod_p(m, p):
     """Factor a monic integer polynomial over F_p.
 
     Returns a list of (Poly with int coefficients in [0, p), multiplicity),
-    sorted by (degree, coefficients). Deterministic: the equal-degree
-    splitting RNG is seeded from (m, p). Squarefree factorization is skipped
-    when gcd(f, f') = 1, as at every prime not dividing disc(m); quadratics,
-    and degree-2 products of linear factors inside the equal-degree split,
-    are split by the quadratic formula.
+    sorted by (degree, coefficients). Deterministic: the Cantor-Zassenhaus
+    generator of the equal-degree split is seeded from the factor being
+    split. Squarefree factorization is skipped when gcd(f, f') = 1, as at
+    every prime not dividing disc(m); quadratics, and degree-2 products of
+    linear factors inside the equal-degree split, are split by the quadratic
+    formula.
     """
     if p == 2:
         raise EvenCharacteristic("p = 2 is rejected")
@@ -338,11 +341,10 @@ def factor_mod_p(m, p):
         fac = _factor_quadratic(f, p)
         return [(Poly(g), e) for g, e in
                 sorted(fac, key=lambda t: (len(t[0]), t[0][::-1]))]
-    rng = random.Random((p, tuple(f)).__hash__() ^ 0x5EED)
     result = []
     for sf, mult in _sff(f, p):
         for prod, d in _ddf(sf, p):
-            for irr in _edf(prod, d, p, rng):
+            for irr in _edf(prod, d, p):
                 result.append((irr, mult))
     result.sort(key=lambda t: (len(t[0]), t[0][::-1]))
     return [(Poly(g), e) for g, e in result]

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from rankforge.cli import main
 from rankforge.errors import RankforgeError
+from rankforge.finite_field import FqField
 
 FIELD_Q = {"min_poly": "0,1"}
 FIELD_SQRT5 = {"min_poly": "-1,-1,1"}
@@ -40,6 +41,22 @@ def test_field_info(runner):
     assert res.exit_code == 0
     assert "q = 9" in res.output
     assert "code,coeffs,chi" in res.output
+
+
+def test_field_info_large_q_builds_no_tables(runner, monkeypatch):
+    # only the 32 printed rows are decoded; chi comes from Euler's criterion
+    def refuse(self):
+        raise AssertionError("field info must not build O(q) tables")
+
+    monkeypatch.setattr(FqField, "elements", refuse)
+    monkeypatch.setattr(FqField, "chi_table", refuse)
+    res = runner.invoke(main, ["field", "info", "--p", "1000003",
+                               "--modulus", "0,1"])
+    assert res.exit_code == 0, res.output
+    lines = res.output.strip().splitlines()
+    assert lines[0] == "q = 1000003 (p = 1000003, r = 1)"
+    assert lines[1:4] == ["code,coeffs,chi", "0,0,0", "1,1,1"]
+    assert len(lines) == 2 + 32
 
 
 def test_field_info_bad_modulus(runner):
@@ -273,6 +290,8 @@ MALFORMED = {
     "nagao ap p zero": (
         {**FAMILY_Q, "field": FIELD_SQRT5}, ["nagao", "ap", "--p", "0"], {}),
     "nagao ap p composite": (FAMILY_Q, ["nagao", "ap", "--p", "9"], {}),
+    "badprimes max-p negative": (
+        FAMILY_Q, ["family", "badprimes", "--max-p", "-5"], {}),
 }
 
 

@@ -11,6 +11,8 @@ from rankforge import (
     reduce_elem,
 )
 from rankforge.errors import DenominatorNotInvertible, NotKnownIrreducible, RankforgeError
+from rankforge.finite_field import FqElem
+from rankforge.number_field import prime_ideals_above
 from rankforge.primes import sieve
 from conftest import ideal_above
 
@@ -61,6 +63,40 @@ def test_reduce_bad_denominator(K_gauss):
     P = ideal_above(K_gauss, 5, 25)
     with pytest.raises(DenominatorNotInvertible):
         reduce_elem(K_gauss.elem(Fraction(1, 5)), P)
+
+
+def _reduce_by_horner(x, P):
+    """The definition of the reduction: theta goes to the class of the
+    variable mod P.factor, evaluated by Horner over theta in F_q."""
+    fld = P.residue_field
+    theta = fld.generator() if fld.r > 1 else fld.elem(-P.factor.coeffs[0])
+    acc = fld.zero
+    for c in reversed(x.coeffs):
+        acc = acc * theta + c.numerator * pow(c.denominator, -1, P.p)
+    return acc
+
+
+@pytest.mark.parametrize("min_poly, p, f", [
+    ([0, 1], 13, 1),
+    ([-1, -1, 1], 11, 1),  # 11 splits in Q(sqrt 5)
+    ([-1, -1, 1], 7, 2),  # 7 is inert
+    ([-2, 0, 0, 1], 5, 1),  # 5 = P1 P2 in Q(cbrt 2), of degrees 1 and 2
+    ([-2, 0, 0, 1], 5, 2),
+    ([-2, 0, 0, 0, 1], 5, 4),  # x^4 - 2 is inert at 5: q = 625
+], ids=["Q-13", "sqrt5-11", "sqrt5-7", "cbrt2-5-f1", "cbrt2-5-f2", "x4m2-5"])
+def test_reduce_matches_horner_over_theta(min_poly, p, f):
+    K = NumberField(min_poly)
+    P = next(P for P in prime_ideals_above(K, p) if P.f == f)
+    rng = random.Random(p * 10 + f)
+    dens = [d for d in range(1, 30) if d % p]
+    for _ in range(200):
+        x = K.elem([Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.choice(dens))
+                    for _ in range(K.n)])
+        got = reduce_elem(x, P)
+        assert isinstance(got, FqElem) and got.field is P.residue_field
+        assert got == _reduce_by_horner(x, P)
+    with pytest.raises(DenominatorNotInvertible):
+        reduce_elem(K.elem([Fraction(1, 3)] * (K.n - 1) + [Fraction(2, p)]), P)
 
 
 def test_reduce_is_ring_homomorphism(K_gauss, K_sqrt5):

@@ -66,6 +66,27 @@ def test_factor_rejects_p2():
         factor_mod_p([1, 0, 1], 2)
 
 
+def test_factor_builds_a_generator_only_to_split(monkeypatch):
+    import rankforge.poly
+
+    built = []
+    real = random.Random
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rankforge.poly.random, "Random", counting)
+    # x^3 - 2 mod 5: a root search and a degree-2 factor, no random split
+    facs = factor_mod_p([-2, 0, 0, 1], 5)
+    assert [(f.coeffs, e) for f, e in facs] == [((2, 1), 1), ((4, 3, 1), 1)]
+    assert built == []
+    # (x - 1)(x - 2)(x - 3) mod 101 goes through Cantor-Zassenhaus
+    facs = factor_mod_p([-6, 11, -6, 1], 101)
+    assert [f.coeffs for f, _ in facs] == [(98, 1), (99, 1), (100, 1)]
+    assert built
+
+
 def test_factor_round_trip_random():
     rng = random.Random(1729)
     primes = [p for p in sieve(997) if p > 2]
