@@ -317,14 +317,17 @@ def nagao_ap(family_path, p, method):
     if p in fam.K.excluded_primes:
         click.echo(f"bad prime: {p} is excluded from Dedekind enumeration")
         sys.exit(1)
+    above = prime_ideals_above(fam.K, p)
+    if method != "analytic":
+        nagao_mod.check_direct_cap(max(P.norm for P in above))
+    methods = ["direct", "analytic"] if method == "both" else [method]
     failed = False
-    for P in prime_ideals_above(fam.K, p):
+    for P in above:
         good, reason = is_good_prime(fam, P)
         if not good:
             click.echo(f"{P.label()}: bad prime: {reason}")
             failed = True
             continue
-        methods = ["direct", "analytic"] if method == "both" else [method]
         for m in methods:
             res = nagao_mod.average_A_p(fam, P, method=m)
             click.echo(f"{P.label()}: norm={P.norm} method={m} "

@@ -6,8 +6,10 @@ modulus; the prime-field case r = 1 goes through the same code path.
 FqElem with chi(u) (squares table) and quadratic_character (Euler's
 criterion) is the simple reference path. FqField.tables() codes elements as
 ints with O(q) log/antilog tables (Lidl-Niederreiter, Finite Fields, ch. 9)
-for the bulk kernels in nagao and legendre; the tests check one against
-the other.
+for the two kernels that visit every element: the direct A_p method in
+nagao and the Legendre sweep; the tests check one against the other. The
+analytic A_p method needs no tables: one powmod and two gcds, O(log q)
+field operations.
 """
 
 import itertools
@@ -103,7 +105,8 @@ class FqField:
 
     def tables(self):
         """Integer-coded arithmetic of this field in O(q) for fixed r, built
-        afresh on every call (never cached).
+        afresh on every call (never cached). Only the kernels that visit
+        every element use it: nagao's direct method and the Legendre sweep.
 
         Coefficients c_0..c_{r-1} give the code sum c_i (2p-1)^i, so adding
         two codes never carries: red[a + b] is the code of the sum, and log

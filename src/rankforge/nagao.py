@@ -1,21 +1,23 @@
 """Traces of Frobenius for the family fibers, their prime averages, and the
 partial sums whose limit is the generic rank.
 
-The direct method enumerates all N(P) fibers at cost O(q^2); the analytic
-method collapses the t-sum with the closed-form quadratic character sum and
-costs O(q). At good primes both give the average -6 exactly. Both loop over
-the integer codes of FqField.tables for every residue degree; curve_trace
-and trace_a_t are the FqElem reference path the tests check them against.
+The direct method enumerates all N(P) fibers at cost O(q^2), on the integer
+codes of FqField.tables. The analytic method collapses the t-sum with the
+closed-form quadratic character sum and counts the square and non-square
+roots of D_T with one powmod and two gcds, O(log q) field operations. At
+good primes both give the average -6 exactly; curve_trace and trace_a_t are
+the FqElem reference path the tests check them against.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _modpoly
 from .errors import BadPrime, InvalidArgument, RankforgeError
 from .family import fiber_polynomial, is_good_prime, reduce_family
 from .number_field import enumerate_prime_ideals
+from .poly import Poly, gcd
 
 DIRECT_NORM_CAP = 1000  # O(q^2) work; analytic is the default beyond this
 
@@ -80,7 +82,8 @@ def average_A_p_direct(fam, P, allow_bad=False):
 
 
 def average_A_p_analytic(fam, P, allow_bad=False):
-    """Average of a_t via the closed-form collapse of the t-sum. O(q).
+    """Average of a_t via the closed-form collapse of the t-sum: one powmod
+    and two gcds, O(log q) field operations.
 
     For fixed x != 0 the t-sum is quadratic with leading coefficient x^3
     and discriminant 4 D_T(x), so it contributes (q-1)chi(x) at roots of
@@ -89,20 +92,49 @@ def average_A_p_analytic(fam, P, allow_bad=False):
     """
     reduced = _reduced(fam, P, allow_bad)
     fld = P.residue_field
-    n = fld.q - 1
-    codes, red, log, exp = fld.tables()
-    # D_T at every x = g^k (k < n, so chi(x) = (-1)^k), a monomial at a
-    # time: c x^j = g^(log c + j k) is a stride-j slice of repeated powers
-    powers = exp[:n] * len(reduced.D_T)
-    values = [codes[fld.encode(reduced.D_T[0])]] * n
-    for j, c in enumerate(reduced.D_T[1:], 1):
-        if c:
-            lc = log[codes[fld.encode(c)]]
-            values = list(map(red.__getitem__, map(
-                operator.add, values, powers[lc:lc + j * n:j])))
-    total = -fld.q * (values[::2].count(0) - values[1::2].count(0))
+    total = -fld.q * _root_character_sum(reduced.D_T, fld)
     return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, fld.q),
                     method="analytic", good=reduced.reason is None)
+
+
+def _root_character_sum(coeffs, fld):
+    """Sum of chi(r) over the distinct roots r != 0 of a polynomial over fld.
+
+    With h = (q-1)/2, x^h - 1 and x^h + 1 are the squarefree products of
+    x - r over the nonzero squares and over the non-squares, so the sum is
+    deg gcd(f, x^h - 1) - deg gcd(f, x^h + 1) (Cohen, GTM 138, 3.4).
+    """
+    h = (fld.q - 1) // 2
+    if fld.r == 1:
+        p = fld.p
+        f = _modpoly.trim([c.coeffs[0] for c in coeffs])
+        if len(f) < 2:
+            return 0
+        f = _modpoly.monic(f, p)
+        xh = _modpoly.powmod([0, 1], h, f, p)
+        return (len(_modpoly.gcd(f, _modpoly.sub(xh, [1], p), p))
+                - len(_modpoly.gcd(f, _modpoly.add(xh, [1], p), p)))
+    f = Poly(coeffs)
+    if f.degree < 1:
+        return 0
+    f = f.monic()
+    x = Poly([fld.zero, fld.one]) % f
+    xh = x
+    for bit in bin(h)[3:]:
+        xh = xh * xh % f
+        if bit == "1":
+            xh = xh * x % f
+    one = Poly([fld.one])
+    return gcd(f, xh - one).degree - gcd(f, xh + one).degree
+
+
+def check_direct_cap(norm):
+    """Refuse the O(q^2) direct method above DIRECT_NORM_CAP, before any
+    work starts."""
+    if norm > DIRECT_NORM_CAP:
+        raise InvalidArgument(
+            f"direct method capped at norm {DIRECT_NORM_CAP}; "
+            "use the analytic method for large primes")
 
 
 def average_A_p(fam, P, method="analytic", allow_bad=False):
@@ -141,10 +173,8 @@ def nagao_partial_sum(fam, X, method="analytic", checkpoints=None):
     """
     if method not in ("direct", "analytic"):
         raise InvalidArgument(f"unknown method {method!r}")
-    if method == "direct" and X > DIRECT_NORM_CAP:
-        raise InvalidArgument(
-            f"direct method capped at norm {DIRECT_NORM_CAP}; "
-            "use the analytic method for large primes")
+    if method == "direct":
+        check_direct_cap(X)
     checkpoints = sorted(set(
         default_checkpoints(X) if checkpoints is None else checkpoints))
     if not checkpoints or not 1 <= checkpoints[0] <= checkpoints[-1] <= X:

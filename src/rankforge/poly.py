@@ -88,12 +88,13 @@ class Poly:
         if len(rem) - 1 < dg:
             return Poly(), self
         quo = [self._zero_coeff() if self.coeffs else 0] * (len(rem) - dg)
+        inv = 1 if isinstance(lead, int) else 1 / lead
         while len(rem) - 1 >= dg and any(bool(c) for c in rem):
             while rem and not rem[-1]:
                 rem.pop()
             if len(rem) - 1 < dg:
                 break
-            c = rem[-1] if isinstance(lead, int) else rem[-1] / lead
+            c = rem[-1] * inv
             k = len(rem) - 1 - dg
             quo[k] = c
             for i, b in enumerate(other.coeffs):

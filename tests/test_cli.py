@@ -148,6 +148,19 @@ def test_nagao_ap_good(runner, family_file):
     assert res.output.count("A_p=-6") == 2
 
 
+def test_nagao_ap_large_prime_analytic(runner, family_file, monkeypatch):
+    # q near 10^6: the analytic count needs no O(q) tables
+    def refuse(self):
+        raise AssertionError("the analytic method must not build tables")
+
+    monkeypatch.setattr(FqField, "tables", refuse)
+    res = runner.invoke(main, ["nagao", "ap", "--family", family_file,
+                               "--p", "1000003"])
+    assert res.exit_code == 0, res.output
+    assert res.output == ("(1000003, 0,1): norm=1000003 method=analytic "
+                          "sum_a_t=-6000018 A_p=-6 good=True\n")
+
+
 def test_nagao_ap_bad_prime_exits_1(runner, family_file):
     res = runner.invoke(main, ["nagao", "ap", "--family", family_file,
                                "--p", "3"])
@@ -290,6 +303,13 @@ MALFORMED = {
     "nagao ap p zero": (
         {**FAMILY_Q, "field": FIELD_SQRT5}, ["nagao", "ap", "--p", "0"], {}),
     "nagao ap p composite": (FAMILY_Q, ["nagao", "ap", "--p", "9"], {}),
+    "nagao ap direct above its cap": (
+        FAMILY_Q, ["nagao", "ap", "--p", "100003", "--method", "direct"], {}),
+    "nagao ap both above its cap": (
+        FAMILY_Q, ["nagao", "ap", "--p", "1009", "--method", "both"], {}),
+    "nagao ap direct at an inert ideal above its cap": (
+        {**FAMILY_Q, "field": FIELD_SQRT5},
+        ["nagao", "ap", "--p", "37", "--method", "direct"], {}),
     "badprimes max-p negative": (
         FAMILY_Q, ["family", "badprimes", "--max-p", "-5"], {}),
 }

@@ -14,10 +14,13 @@ from rankforge import (
     make_field,
     nagao_partial_sum,
     rank_estimate,
+    roots_in_fq,
     trace_a_t,
 )
 from rankforge.errors import BadPrime, InvalidArgument, RankforgeError
-from rankforge.nagao import curve_trace, default_checkpoints
+from rankforge.family import reduce_family
+from rankforge.finite_field import FqField
+from rankforge.nagao import _root_character_sum, curve_trace, default_checkpoints
 from conftest import ideal_above
 
 
@@ -60,7 +63,7 @@ def test_bad_prime_raises(fam_rat):
     assert res.good is False
 
 
-def test_method_agreement_small_norms(fam_rat, fam_sqrt5):
+def test_method_agreement_small_norms(fam_rat, fam_sqrt5, fam_cbrt2):
     for fam, bound in ((fam_rat, 200), (fam_sqrt5, 200)):
         for P in enumerate_prime_ideals(fam.K, bound):
             if not is_good_prime(fam, P)[0]:
@@ -69,6 +72,41 @@ def test_method_agreement_small_norms(fam_rat, fam_sqrt5):
             a = average_A_p_analytic(fam, P)
             assert d.sum_a_t == a.sum_a_t
             assert d.A_p == a.A_p == -6
+    # the gcd count against an O(q) root scan, bad ideals included wherever
+    # D_T reduces: inert ideals of Q(sqrt 5), f = 1, 2, 3 over Q(cbrt 2)
+    degrees = set()
+    for fam in (fam_rat, fam_sqrt5, fam_cbrt2):
+        for P in enumerate_prime_ideals(fam.K, 400):
+            D_T = reduce_family(fam, P).D_T
+            if D_T is None:
+                continue
+            fld = P.residue_field
+            roots = roots_in_fq(Poly(D_T), fld)
+            expected = -fld.q * sum(fld.chi(r) for r in roots if r)
+            res = average_A_p_analytic(fam, P, allow_bad=True)
+            assert res.sum_a_t == expected, P.label()
+            degrees.add((fam.K.n, P.f))
+    assert {(2, 2), (3, 2), (3, 3)} <= degrees
+
+
+@pytest.mark.parametrize("p, modulus", [
+    (3, [0, 1]), (7, [0, 1]), (13, [0, 1]), (3, [1, 0, 1]), (5, [2, 0, 1]),
+    (3, [1, 2, 0, 1])], ids=["3", "7", "13", "9", "25", "27"])
+def test_root_character_sum_counts_squares_and_non_squares(p, modulus):
+    # family D_T has only square roots; random polynomials have both kinds,
+    # repeated roots and roots at 0
+    fld = make_field(p, modulus)
+    rng = random.Random(p ** len(modulus))
+    elements = fld.elements()
+    for _ in range(60):
+        roots = rng.choices(elements, k=rng.randrange(7))
+        f = Poly([rng.choice(elements[1:])])
+        for r in roots:
+            f = f * Poly([-r, fld.one])
+        if rng.random() < 0.3:
+            f = f * Poly([rng.choice(elements[1:]), fld.one, fld.one])
+        expected = sum(fld.chi(r) for r in roots_in_fq(f, fld) if r)
+        assert _root_character_sum(f.coeffs, fld) == expected, f
 
 
 def test_sqrt5_inert_prime(fam_sqrt5):
@@ -188,6 +226,14 @@ def test_rank_estimate_enumerates_and_reduces_once(fam_sqrt5, monkeypatch):
     assert rank_estimate(fam_sqrt5, 500).nearest_integer == 6
     assert calls["enumerate"] == 1
     assert 0 < calls["reduce_elem"] <= 27 * calls["ideals"]
+
+
+def test_rank_path_builds_no_tables(fam_sqrt5, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the analytic rank path must not build tables")
+
+    monkeypatch.setattr(FqField, "tables", refuse)
+    assert rank_estimate(fam_sqrt5, 2000).nearest_integer == 6
 
 
 def test_normalization_identity(fam_rat):
