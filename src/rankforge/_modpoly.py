@@ -122,13 +122,6 @@ def deriv(f, p):
     return trim([i * c % p for i, c in enumerate(f)][1:])
 
 
-def eval_at(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def prime_divisors(n):
     out = []
     d = 2

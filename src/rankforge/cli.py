@@ -40,9 +40,26 @@ def _seed_from_env(seed):
             f"RANKFORGE_SEED must be an integer, got {text!r}") from None
 
 
-def _at_least_one(ctx, param, value):
-    if value < 1:
-        raise InvalidArgument(f"{param.opts[0]} must be >= 1, got {value}")
+def _at_least(low):
+    """Option callback that refuses values below low."""
+    def check(ctx, param, value):
+        if value < low:
+            raise InvalidArgument(
+                f"{param.opts[0]} must be >= {low}, got {value}")
+        return value
+    return check
+
+
+def _out_path(ctx, param, value):
+    """--out is "-" or a file in an existing directory; checked before any
+    work, creating nothing."""
+    if value is None or value == "-":
+        return value
+    if os.path.isdir(value):
+        raise InvalidArgument(f"--out {value} is a directory")
+    folder = os.path.dirname(value)
+    if not os.path.isdir(folder or "."):
+        raise InvalidArgument(f"--out {value}: no directory {folder}")
     return value
 
 
@@ -52,11 +69,13 @@ def _fmt(x):
 
 
 def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except ValueError as exc:
-            raise InvalidArgument(f"{path} is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise InvalidArgument(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InvalidArgument(f"{path} is not valid JSON: {exc}") from None
 
 
 def _entry(obj, key, what):
@@ -136,9 +155,13 @@ def _load_family(path):
 def _output(out):
     if out is None or out == "-":
         yield sys.stdout
-    else:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            yield fh
+        return
+    try:
+        fh = open(out, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {out}: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
 def _write_csv(out, header, rows):
@@ -179,7 +202,7 @@ def field():
 @click.option("--p", "p", type=int, required=True, help="odd prime")
 @click.option("--modulus", required=True,
               help='monic modulus over F_p, "c0,c1,...,1"')
-@click.option("--out", default=None)
+@click.option("--out", default=None, callback=_out_path)
 def field_info(p, modulus, out):
     """Print q and a sample character table as CSV."""
     mod = _int_coeffs(modulus, "modulus")
@@ -201,8 +224,8 @@ def ideals():
 
 @ideals.command("list")
 @click.option("--field", "field_path", required=True, type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True, callback=_at_least_one)
-@click.option("--out", default=None)
+@click.option("--max-norm", type=int, required=True, callback=_at_least(1))
+@click.option("--out", default=None, callback=_out_path)
 def ideals_list(field_path, max_norm, out):
     """List prime ideals of norm <= X as CSV."""
     K = _load_field(field_path)
@@ -216,7 +239,7 @@ def ideals_list(field_path, max_norm, out):
 
 @main.command()
 @click.option("--field", "field_path", required=True, type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True, callback=_at_least_one)
+@click.option("--max-norm", type=int, required=True, callback=_at_least(1))
 def landau(field_path, max_norm):
     """Partial sum of log N(P), its ratio to X, and the ideal count."""
     K = _load_field(field_path)
@@ -232,10 +255,11 @@ def legendre():
 
 
 @legendre.command("verify")
-@click.option("--max-q", type=int, default=343, show_default=True)
+@click.option("--max-q", type=int, default=343, show_default=True,
+              callback=_at_least(3))
 @click.option("--exhaustive-max-q", type=int, default=49, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--out", default=None)
+@click.option("--out", default=None, callback=_out_path)
 def legendre_verify(max_q, exhaustive_max_q, seed, out):
     """Closed form vs. brute force per odd prime power q; exit 1 on any
     mismatch or conic-bound violation."""
@@ -258,7 +282,7 @@ def family():
 
 @family.command("construct")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
-@click.option("--out", default=None)
+@click.option("--out", default=None, callback=_out_path)
 def family_construct(spec_path, out):
     """Construct the family and emit its exact coefficients as JSON."""
     obj, fam = _load_family(spec_path)
@@ -281,7 +305,7 @@ def family_construct(spec_path, out):
 @family.command("badprimes")
 @click.option("--family", "family_path", required=True,
               type=click.Path(exists=True))
-@click.option("--max-p", type=int, required=True, callback=_at_least_one)
+@click.option("--max-p", type=int, required=True, callback=_at_least(1))
 def family_badprimes(family_path, max_p):
     """Rational primes p <= N with a bad ideal above them, with reasons."""
     _, fam = _load_family(family_path)
@@ -340,12 +364,12 @@ def nagao_ap(family_path, p, method):
 @nagao.command("series")
 @click.option("--family", "family_path", required=True,
               type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True, callback=_at_least_one)
+@click.option("--max-norm", type=int, required=True, callback=_at_least(1))
 @click.option("--method", type=click.Choice(["direct", "analytic"]),
               default="analytic", show_default=True)
 @click.option("--checkpoints", default=None,
               help="comma-separated cutoffs; default geometric grid")
-@click.option("--out", default=None)
+@click.option("--out", default=None, callback=_out_path)
 def nagao_series(family_path, max_norm, method, checkpoints, out):
     """Nagao partial sums on a checkpoint grid, as CSV."""
     _, fam = _load_family(family_path)
@@ -367,7 +391,7 @@ def nagao_series(family_path, max_norm, method, checkpoints, out):
 @main.command()
 @click.option("--family", "family_path", required=True,
               type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True, callback=_at_least_one)
+@click.option("--max-norm", type=int, required=True, callback=_at_least(1))
 @click.option("--method", type=click.Choice(["direct", "analytic"]),
               default="analytic", show_default=True)
 def rank(family_path, max_norm, method):

@@ -25,10 +25,6 @@ class DivisionByZero(RankforgeError, ZeroDivisionError):
 
 # polynomials
 
-class NonMonicDivisor(RankforgeError):
-    """divmod over a non-field domain requires a monic divisor."""
-
-
 class EvenCharacteristic(RankforgeError):
     """p = 2 is rejected everywhere in this package."""
 

@@ -195,13 +195,5 @@ def fiber_polynomial(fam, P, t):
     reduced = reduce_family(fam, P)
     if reduced.g is None:
         raise BadPrime(reduced.reason)
-    hbar = reduced.h + (fld.zero,) * (4 - len(reduced.h))
-    tt = t * t
-    coeffs = []
-    for i in range(4):
-        v = reduced.g[i] * t
-        v = v + v - hbar[i]
-        if i == 3:
-            v = v + tt
-        coeffs.append(v)
-    return Poly(coeffs)
+    x3 = Poly([fld.zero] * 3 + [t * t])
+    return x3 + Poly(reduced.g) * (t + t) - Poly(reduced.h)

@@ -106,11 +106,13 @@ class FqField:
     def tables(self):
         """Integer-coded arithmetic of this field in O(q) for fixed r, built
         afresh on every call (never cached). Only the kernels that visit
-        every element use it: nagao's direct method and the Legendre sweep.
+        every element use it: nagao's direct A_p method, capped at norm
+        1000, and the Legendre sweep.
 
         Coefficients c_0..c_{r-1} give the code sum c_i (2p-1)^i, so adding
         two codes never carries: red[a + b] is the code of the sum, and log
-        (and chi()) accept such a sum too. For a primitive g, exp[k] is the
+        (and chi()) accept such a sum too. exp and log come from walking the
+        powers of a primitive element g in FqElem arithmetic: exp[k] is the
         code of g^k, so exp[log[a] + log[b]] is the product; log 0 is a
         sentinel past which exp reads 0. -1 = g^((q-1)/2) has the code p - 1,
         so -a is exp[log[a] + log[p - 1]].
@@ -123,14 +125,6 @@ class FqField:
             step = base ** j
             red = [d % p * step + s for d in range(base) for s in red]
             codes = [d * step + c for d in range(p) for c in codes]
-
-        def multiples(v, n):  # codes of d*v for d < n, doubling the run
-            run = [0]
-            while len(run) < n:
-                shift = red[run[-1] + v]
-                run += [red[shift + c] for c in run]
-            return run[:n]
-
         # primitive g: g^((q-1)/l) != 1 for every prime l | q-1. 1 never is,
         # nor any constant if r > 1, so a zero top coefficient goes last
         top = p ** (r - 1)
@@ -139,19 +133,13 @@ class FqField:
             g = self.decode(i)
             if all(g ** e != self.one for e in exponents):
                 break
-        # u -> u*g on codes, linear in the digits of u: digit d at place j
-        # adds d * theta^j g (the top digit of a code is below p)
-        cols = [multiples(codes[self.encode(g * self.generator() ** j)],
-                          base if j < r - 1 else p) for j in range(r)]
-        times_g = cols[0]
-        for col in cols[1:]:
-            times_g = [red[c + t] for c in col for t in times_g]
         zero_log = 2 * (q - 1)  # above any sum of two logs of nonzero codes
-        log, powers, u = [zero_log] * len(red), [], 1
+        log, powers, u = [zero_log] * len(red), [], self.one
         for k in range(q - 1):
-            log[u] = k
-            powers.append(u)
-            u = times_g[u]
+            code = codes[self.encode(u)]
+            log[code] = k
+            powers.append(code)
+            u = u * g
         log = list(map(log.__getitem__, red))
         return FqTables(codes, red, log, powers * 2 + [0] * (2 * q - 1))
 

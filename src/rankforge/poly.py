@@ -13,7 +13,6 @@ from . import _modpoly
 from .errors import (
     DivisionByZero,
     EvenCharacteristic,
-    NonMonicDivisor,
     ZeroLeadingCoefficient,
     ZeroPolynomial,
 )
@@ -45,9 +44,6 @@ class Poly:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def _zero_coeff(self):
-        return self.coeffs[-1] * 0
-
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -67,7 +63,7 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
-            z = self._zero_coeff()
+            z = self.coeffs[-1] * 0
             out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
@@ -78,29 +74,21 @@ class Poly:
     __rmul__ = __mul__
 
     def __divmod__(self, other):
+        """Long division over a field domain (Fraction, FqElem)."""
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        lead = other.lc
-        if isinstance(lead, int) and lead != 1:
-            raise NonMonicDivisor("non-monic divisor over a non-field domain")
-        rem = list(self.coeffs)
         dg = other.degree
-        if len(rem) - 1 < dg:
+        if self.degree < dg:
             return Poly(), self
-        quo = [self._zero_coeff() if self.coeffs else 0] * (len(rem) - dg)
-        inv = 1 if isinstance(lead, int) else 1 / lead
-        while len(rem) - 1 >= dg and any(bool(c) for c in rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < dg:
-                break
-            c = rem[-1] * inv
-            k = len(rem) - 1 - dg
-            quo[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * b
-            rem.pop()
-        return Poly(quo), Poly(rem)
+        rem = list(self.coeffs)
+        inv = 1 / other.lc
+        quo = [None] * (len(rem) - dg)
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k] = rem[k + dg] * inv
+            if c:
+                for i, b in enumerate(other.coeffs[:dg]):
+                    rem[k + i] = rem[k + i] - c * b
+        return Poly(quo), Poly(rem[:dg])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -271,15 +259,13 @@ def _ddf(f, p):
 
 
 def _edf(f, d, p):
-    """Equal-degree split (Cantor-Zassenhaus, odd p) into irreducibles; the
-    Cantor-Zassenhaus branch seeds its generator from (p, f)."""
+    """Equal-degree split of f, a product of irreducibles of degree d, for
+    odd p. A product of two linear factors goes to the quadratic formula;
+    anything else to Cantor-Zassenhaus, whose generator is seeded from
+    (p, f). The order of the factors is left to the caller's sort."""
     n = len(f) - 1
     if n == d:
         return [f]
-    if d == 1 and p < 50:
-        # exhaustive root search for tiny prime fields
-        return sorted(
-            [[(-x) % p, 1] for x in range(p) if _modpoly.eval_at(f, x, p) == 0])
     if d == 1 and n == 2:
         return [g for g, _ in _factor_quadratic(f, p)]
     e = (p ** d - 1) // 2
@@ -321,10 +307,10 @@ def factor_mod_p(m, p):
     Returns a list of (Poly with int coefficients in [0, p), multiplicity),
     sorted by (degree, coefficients). Deterministic: the Cantor-Zassenhaus
     generator of the equal-degree split is seeded from the factor being
-    split. Squarefree factorization is skipped when gcd(f, f') = 1, as at
-    every prime not dividing disc(m); quadratics, and degree-2 products of
-    linear factors inside the equal-degree split, are split by the quadratic
-    formula.
+    split. Quadratics are split by the quadratic formula; every other
+    degree, linear included, goes through squarefree, distinct-degree and
+    equal-degree factorization. The squarefree step ends at once when
+    gcd(f, f') = 1, as at every prime not dividing disc(m).
     """
     if p == 2:
         raise EvenCharacteristic("p = 2 is rejected")
@@ -336,8 +322,6 @@ def factor_mod_p(m, p):
     if len(f) < 2:
         raise ZeroPolynomial("need degree >= 1")
     f = _modpoly.monic(f, p)
-    if len(f) == 2:
-        return [(Poly(f), 1)]
     if len(f) == 3:
         fac = _factor_quadratic(f, p)
         return [(Poly(g), e) for g, e in

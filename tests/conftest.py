@@ -1,6 +1,21 @@
 import pytest
 
 from rankforge import FamilySpec, NumberField, construct_family
+from rankforge.finite_field import FqTables
+
+
+@pytest.fixture
+def broken_chi(monkeypatch):
+    """FqTables.chi with its first +1 read as -1: the closed form of the
+    Legendre sweep and the conic bound then fail at every q."""
+    real = FqTables.chi
+
+    def flipped(self):
+        chi = real(self)
+        chi[chi.index(1)] = -1
+        return chi
+
+    monkeypatch.setattr(FqTables, "chi", flipped)
 
 
 @pytest.fixture(scope="session")

@@ -121,6 +121,15 @@ def test_legendre_verify_pass(runner):
     assert "pass" in res.output and "FAIL" not in res.output
 
 
+def test_legendre_verify_fail_rows_exit_1(runner, broken_chi):
+    res = runner.invoke(main, ["legendre", "verify", "--max-q", "9",
+                               "--exhaustive-max-q", "9"])
+    assert res.exit_code == 1
+    rows = res.output.strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["3", "5", "7", "9"]
+    assert all(row.endswith(",FAIL") for row in rows)
+
+
 def test_family_construct(runner, family_file, tmp_path):
     out = tmp_path / "fam.json"
     res = runner.invoke(main, ["family", "construct", "--spec", family_file,
@@ -139,6 +148,20 @@ def test_family_badprimes(runner, family_file):
     assert res.exit_code == 0
     listed = {int(l.split(":")[0]) for l in res.output.strip().splitlines()}
     assert listed == {2, 3, 5, 7, 11}
+
+
+@pytest.mark.parametrize("spec, max_p, line", [
+    ({**FAMILY_Q, "alpha": "3"}, "13", "3: alpha vanishes mod 3"),
+    ({**FAMILY_Q, "field": FIELD_SQRT5}, "7",
+     "5: excluded (Dedekind enumeration)"),
+])
+def test_family_badprimes_reasons(runner, tmp_path, spec, max_p, line):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["family", "badprimes", "--family", str(path),
+                               "--max-p", max_p])
+    assert res.exit_code == 0
+    assert line in res.output.splitlines()
 
 
 def test_nagao_ap_good(runner, family_file):
@@ -175,6 +198,15 @@ def test_nagao_ap_even_prime_exits_1(runner, family_file):
     assert "bad prime: even residue characteristic 2" in res.output
 
 
+def test_nagao_ap_excluded_prime_exits_1(runner, tmp_path):
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps({**FAMILY_Q, "field": FIELD_SQRT5}))
+    res = runner.invoke(main, ["nagao", "ap", "--family", str(path),
+                               "--p", "5"])
+    assert res.exit_code == 1
+    assert res.output == "bad prime: 5 is excluded from Dedekind enumeration\n"
+
+
 def test_identity_failure_is_not_a_usage_error(runner, family_file,
                                                monkeypatch):
     from rankforge import family
@@ -207,6 +239,15 @@ def test_rank_command(runner, family_file):
     assert "rank estimate: 6" in res.output
 
 
+def test_rank_without_good_primes_is_low_confidence(runner, family_file):
+    # every prime up to 11 is bad for the reference family
+    res = runner.invoke(main, ["rank", "--family", family_file,
+                               "--max-norm", "11"])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == (
+        "rank estimate: 0 (low confidence: no good primes in range)")
+
+
 def test_usage_error_exit_code(runner):
     res = runner.invoke(main, ["rank", "--max-norm", "10"])
     assert res.exit_code == 2
@@ -231,7 +272,8 @@ def _without(key):
 
 
 # (family spec, extra CLI arguments, environment); the family spec goes to
-# --family, or --spec for "family construct"
+# --family, or --spec for "family construct"; {tmp} in an argument is a
+# fresh empty directory
 MALFORMED = {
     "checkpoint above max-norm": (
         FAMILY_Q, ["nagao", "series", "--max-norm", "100",
@@ -312,12 +354,38 @@ MALFORMED = {
         ["nagao", "ap", "--p", "37", "--method", "direct"], {}),
     "badprimes max-p negative": (
         FAMILY_Q, ["family", "badprimes", "--max-p", "-5"], {}),
+    "family is a directory": (
+        None, ["rank", "--family", "{tmp}", "--max-norm", "10"], {}),
+    "legendre out in a missing directory": (
+        None, ["legendre", "verify", "--max-q", "9",
+               "--out", "{tmp}/missing/x.csv"], {}),
+    "legendre out is a directory": (
+        None, ["legendre", "verify", "--max-q", "9", "--out", "{tmp}"], {}),
+    "field info out in a missing directory": (
+        None, ["field", "info", "--p", "3", "--modulus", "1,0,1",
+               "--out", "{tmp}/missing/x.csv"], {}),
+    "ideals out in a missing directory": (
+        None, ["ideals", "list", "--max-norm", "10",
+               "--out", "{tmp}/missing/x.csv"], {}),
+    "construct out in a missing directory": (
+        FAMILY_Q, ["family", "construct", "--out", "{tmp}/missing/x.json"], {}),
+    # refused before the series starts, not after it
+    "series out in a missing directory": (
+        FAMILY_Q, ["nagao", "series", "--max-norm", "1000000",
+                   "--out", "{tmp}/missing/x.csv"], {}),
+    "legendre max-q 2": (None, ["legendre", "verify", "--max-q", "2"], {}),
+    "legendre max-q zero": (None, ["legendre", "verify", "--max-q", "0"], {}),
+    "legendre max-q negative": (
+        None, ["legendre", "verify", "--max-q", "-5"], {}),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_input_exits_2(runner, tmp_path, field_file, case):
     spec, args, env = MALFORMED[case]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    args = [a.replace("{tmp}", str(empty)) for a in args]
     if args[0] in ("landau", "ideals"):
         args = args + ["--field", field_file]
     elif spec is not None:
@@ -342,3 +410,14 @@ def test_sqrt5_family_via_cli(runner, tmp_path):
                                "--p", "13"])
     assert res.exit_code == 0
     assert "norm=169" in res.output and "A_p=-6" in res.output
+
+
+def test_out_that_cannot_be_opened_exits_2(runner, tmp_path):
+    # a dangling link passes the early --out check; the open then fails
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "missing" / "x.csv")
+    res = runner.invoke(main, ["legendre", "verify", "--max-q", "9",
+                               "--out", str(link)])
+    assert res.exit_code == 2
+    assert not isinstance(res.exception, OSError)
+    assert res.output == f"Error: cannot write {link}: No such file or directory\n"

@@ -129,6 +129,27 @@ def test_fiber_commutes_with_reduction(fam_rat):
         assert f(fld.elem(x0)) == reduce_elem(exact, P)
 
 
+def _fiber_by_padded_loop(fam, P, t):
+    """t^2 x^3 + 2 g(x) t - h(x), coefficient by coefficient, with h padded
+    to four terms."""
+    fld = P.residue_field
+    g = [reduce_elem(c, P) for c in fam.g.coeffs]
+    h = [reduce_elem(c, P) for c in fam.h.coeffs]
+    h += [fld.zero] * (4 - len(h))
+    coeffs = [g[i] * t + g[i] * t - h[i] for i in range(4)]
+    coeffs[3] = coeffs[3] + t * t
+    return Poly(coeffs)
+
+
+@pytest.mark.parametrize("p, r", [(19, 1), (13, 2)])
+def test_fiber_matches_padded_loop_at_every_t(fam_sqrt5, p, r):
+    P = ideal_above(fam_sqrt5.K, p)
+    assert P.f == r
+    for t in P.residue_field.elements():
+        assert fiber_polynomial(fam_sqrt5, P, t) == \
+            _fiber_by_padded_loop(fam_sqrt5, P, t)
+
+
 def _random_kelem(K, rng, max_num=50, max_den=6):
     while True:
         x = K.elem([Fraction(rng.randrange(-max_num, max_num + 1),

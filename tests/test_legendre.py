@@ -102,3 +102,10 @@ def test_sweep_random_mode_counts():
     random_rows = [r for r in results if r.mode == "random"]
     assert random_rows and all(r.checked == 1000 for r in random_rows)
     assert all(r.ok for r in results)
+
+
+def test_sweep_reports_a_broken_character(broken_chi):
+    results = verify_quad_sums(max_q=9, exhaustive_max_q=9)
+    assert [r.q for r in results] == [3, 5, 7, 9]
+    for r in results:
+        assert r.mismatches > 0 and r.conic_violations > 0 and not r.ok

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rankforge import Poly, expand_from_roots, factor_mod_p, make_field, roots_in_fq
 from rankforge._modpoly import is_irreducible
@@ -42,6 +43,48 @@ def test_divmod_over_q():
     assert q == qpoly(1, 1, 1) and r == qpoly(1)
 
 
+# coefficient domains of the divisions in the package: Q and F_q
+DOMAINS = {"Q": None, "F_9": make_field(3, [1, 0, 1]),
+           "F_25": make_field(5, [2, 0, 1])}
+
+
+def _coeff(domain, n):
+    fld = DOMAINS[domain]
+    return F(n, 1 + abs(n) % 4) if fld is None else fld.decode(n % fld.q)
+
+
+def _long_division(f, g):
+    """Schoolbook division on coefficient lists, written out independently."""
+    f, g = list(f.coeffs), list(g.coeffs)
+    quo = [g[-1] * 0] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g):
+        shift = len(f) - len(g)
+        c = quo[shift] = f[-1] / g[-1]
+        for i, b in enumerate(g):
+            f[shift + i] = f[shift + i] - c * b
+        while f and not f[-1]:
+            f.pop()
+    return Poly(quo), Poly(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DOMAINS)),
+       st.lists(st.integers(-30, 30), max_size=10),
+       st.lists(st.integers(-30, 30), min_size=1, max_size=6))
+def test_divmod_matches_long_division(domain, f_ints, g_ints):
+    f = Poly([_coeff(domain, n) for n in f_ints])
+    g = Poly([_coeff(domain, n) for n in g_ints])
+    assume(not g.is_zero)
+    q, r = divmod(f, g)
+    assert (q, r) == _long_division(f, g)
+    assert q * g + r == f
+    assert r.degree < g.degree
+    for part in (q, r):  # canonical: no zero leading coefficient
+        assert not part.coeffs or part.coeffs[-1]
+    if f.degree < g.degree:
+        assert q.is_zero and r == f
+
+
 def test_derivative():
     assert qpoly(5, 0, 3, 1).derivative() == qpoly(0, 6, 3)
 
@@ -77,7 +120,7 @@ def test_factor_builds_a_generator_only_to_split(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(rankforge.poly.random, "Random", counting)
-    # x^3 - 2 mod 5: a root search and a degree-2 factor, no random split
+    # x^3 - 2 mod 5: one root and a degree-2 factor by distinct degree
     facs = factor_mod_p([-2, 0, 0, 1], 5)
     assert [(f.coeffs, e) for f, e in facs] == [((2, 1), 1), ((4, 3, 1), 1)]
     assert built == []
