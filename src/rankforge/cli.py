@@ -178,13 +178,18 @@ class UsageFailure(click.ClickException):
 
 
 class _Main(click.Group):
-    """Reports an InvalidArgument from any subcommand as a usage error."""
+    """Reports an InvalidArgument or click's own usage error (but not the
+    help of a group called bare) from any subcommand in one line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except InvalidArgument as exc:
             raise UsageFailure(str(exc)) from exc
+        except getattr(click.exceptions, "NoArgsIsHelpError", ()):
+            raise  # click >= 8.2: the help of a group called bare
+        except click.UsageError as exc:
+            raise UsageFailure(exc.format_message()) from exc
 
 
 @click.group(cls=_Main)

@@ -162,12 +162,11 @@ def _reduce(fam, P):
     except DenominatorNotInvertible:
         return ReducedFamily(f"denominator not invertible mod {P.p}")
     # everything else is a polynomial in the data above, so it reduces too
-    root_bars = [reduce_elem(r, P) for r in fam.roots]
     if not alpha_bar:
         reason = f"alpha vanishes mod {P.p}"
     elif not all(rho_bars):
         reason = f"a root vanishes mod {P.p}"
-    elif len(set(root_bars)) < 6:
+    elif len({r * r for r in rho_bars}) < 6:  # reduction is a ring map
         reason = f"repeated roots mod {P.p}"
     else:
         reason = None

@@ -6,10 +6,9 @@ modulus; the prime-field case r = 1 goes through the same code path.
 FqElem with chi(u) (squares table) and quadratic_character (Euler's
 criterion) is the simple reference path. FqField.tables() codes elements as
 ints with O(q) log/antilog tables (Lidl-Niederreiter, Finite Fields, ch. 9)
-for the two kernels that visit every element: the direct A_p method in
-nagao and the Legendre sweep; the tests check one against the other. The
-analytic A_p method needs no tables: one powmod and two gcds, O(log q)
-field operations.
+for FqTables.t_sums, the one brute-force t-sum of chi(a t^2 + b t + c): the
+Legendre sweep checks the closed form against it, and the direct A_p method
+in nagao is minus its sum over x. The analytic A_p method needs no tables.
 """
 
 import itertools
@@ -105,9 +104,8 @@ class FqField:
 
     def tables(self):
         """Integer-coded arithmetic of this field in O(q) for fixed r, built
-        afresh on every call (never cached). Only the kernels that visit
-        every element use it: nagao's direct A_p method, capped at norm
-        1000, and the Legendre sweep.
+        afresh on every call (never cached), for t_sums and its callers:
+        nagao's direct A_p method, capped at norm 1000, and the Legendre sweep.
 
         Coefficients c_0..c_{r-1} give the code sum c_i (2p-1)^i, so adding
         two codes never carries: red[a + b] is the code of the sum, and log
@@ -174,6 +172,17 @@ class FqTables(NamedTuple):
         """chi[s], the quadratic character of red[s]: the parity of log."""
         sign = [1, -1] * (self.log[0] // 2) + [0]
         return list(map(sign.__getitem__, self.log))
+
+    def t_sums(self, triples):
+        """Per (log a, log b, code c): sum over t in F_q of chi(a t^2 + b t + c),
+        O(q) each; a or b = 0 is the log 0 sentinel, whose sums read 0 from exp."""
+        red, log, exp, chi = self.red, self.log, self.exp, self.chi()
+        t_logs = [(log[exp[lt + lt]], lt) for lt in map(log.__getitem__, self.codes)]
+        for la, lb, c in triples:
+            s = 0
+            for ltt, lt in t_logs:
+                s += chi[red[exp[la + ltt] + exp[lb + lt]] + c]
+            yield s
 
 
 class FqElem:

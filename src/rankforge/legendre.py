@@ -4,8 +4,8 @@ For a != 0 the t-sum of chi(a t^2 + b t + c) collapses to (q-1)chi(a) when
 the discriminant vanishes and -chi(a) otherwise; quad_sum_brute is the
 independent enumeration oracle, conic_count the point count on
 s^2 = a t^2 + b t + c. These work on FqElem and are the reference path.
-verify_quad_sums checks the closed form against enumeration in bulk, in
-one integer loop over the code tables of FqField.tables for every q.
+verify_quad_sums checks the closed form in bulk against FqTables.t_sums,
+the brute-force t-sum that the direct A_p method in nagao adds up over x.
 """
 
 import itertools
@@ -93,20 +93,17 @@ def standard_field(p, r):
 
 
 def _sweep(fld, triples):
-    """Closed-vs-brute check over F_q on integer codes (FqField.tables)."""
+    """Closed form and conic bound against FqTables.t_sums over F_q."""
     q = fld.q
-    codes, red, log, exp = tables = fld.tables()
+    codes, _, log, exp = tables = fld.tables()
     chi = tables.chi()
-    t_logs = [(log[exp[lt + lt]], lt) for lt in map(log.__getitem__, codes)]
     four = log[codes[4 % fld.p]]  # constants embed along the prime subfield
+    coded, kernel = itertools.tee(
+        (log[codes[a]], log[codes[b]], codes[c]) for a, b, c in triples)
     mism = viol = checked = 0
-    for a, b, c in triples:
-        la, lb, c = log[codes[a]], log[codes[b]], codes[c]
-        s = 0
-        for ltt, lt in t_logs:
-            s += chi[red[exp[la + ltt] + exp[lb + lt]] + c]
+    for (la, lb, c), s in zip(coded, tables.t_sums(kernel)):
         degenerate = exp[lb + lb] == exp[four + log[exp[la + log[c]]]]
-        chi_a = chi[codes[a]]
+        chi_a = chi[exp[la]]
         if s != ((q - 1) * chi_a if degenerate else -chi_a):
             mism += 1
         # the parametrization bound applies to the nondegenerate conic only

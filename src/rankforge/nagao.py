@@ -1,12 +1,12 @@
 """Traces of Frobenius for the family fibers, their prime averages, and the
 partial sums whose limit is the generic rank.
 
-The direct method enumerates all N(P) fibers at cost O(q^2), on the integer
-codes of FqField.tables. The analytic method collapses the t-sum with the
-closed-form quadratic character sum and counts the square and non-square
-roots of D_T with one powmod and two gcds, O(log q) field operations. At
-good primes both give the average -6 exactly; curve_trace and trace_a_t are
-the FqElem reference path the tests check them against.
+The direct method, O(q^2), is minus the sum over x of the brute-force
+t-sums of FqTables.t_sums, which the Legendre sweep checks. The analytic
+method collapses each t-sum in closed form and counts the square and
+non-square roots of D_T with one powmod and two gcds, O(log q) field
+operations. At good primes both give the average -6 exactly; curve_trace
+and trace_a_t are the FqElem reference path the tests check them against.
 """
 
 import math
@@ -47,41 +47,30 @@ class ApResult:
     good: bool
 
 
-def _reduced(fam, P, allow_bad=False):
-    """The family reduced at P. A bad P raises BadPrime unless allow_bad is
-    set and the data still reduces there."""
+def _reduced(fam, P):
+    """The family reduced at P; a bad P raises BadPrime."""
     reduced = reduce_family(fam, P)
-    if reduced.reason is not None and (not allow_bad or reduced.D_T is None):
+    if reduced.reason is not None:
         raise BadPrime(reduced.reason)
     return reduced
 
 
-def average_A_p_direct(fam, P, allow_bad=False):
-    """Average of a_t over all fibers, by full enumeration. O(q^2)."""
-    reduced = _reduced(fam, P, allow_bad)
+def average_A_p_direct(fam, P):
+    """Average of a_t over all fibers: minus the sum over x of the t-sums
+    of chi(x^3 t^2 + 2 g(x) t - h(x)), each by brute force. O(q^2)."""
+    reduced = _reduced(fam, P)
     fld = P.residue_field
-    codes, red, log, exp = tables = fld.tables()
-    chi = tables.chi()
-    g = [codes[fld.encode(c)] for c in reduced.g]
-    minus_h = [codes[fld.encode(-c)] for c in reduced.h]
-    cols = []  # per x: log x^3, log 2g(x) and -h(x), by Horner
-    for lx in map(log.__getitem__, codes):
-        gx = hx = 0
-        for c in reversed(g):
-            gx = red[exp[log[gx] + lx] + c]
-        for c in reversed(minus_h):
-            hx = red[exp[log[hx] + lx] + c]
-        cols.append((log[exp[log[exp[lx + lx]] + lx]], log[gx + gx], hx))
-    total = 0
-    for lt in map(log.__getitem__, codes):
-        ltt = log[exp[lt + lt]]
-        for lx3, l2g, mh in cols:
-            total -= chi[red[exp[ltt + lx3] + exp[lt + l2g]] + mh]
+    codes, _, log, _ = tables = fld.tables()
+    code = dict(zip(fld.elements(), codes))
+    g, minus_h = Poly(reduced.g), -Poly(reduced.h)
+    total = -sum(tables.t_sums(
+        (log[code[x * x * x]], log[code[2 * g(x)]], code[minus_h(x)])
+        for x in fld.elements()))
     return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, fld.q),
-                    method="direct", good=reduced.reason is None)
+                    method="direct", good=True)
 
 
-def average_A_p_analytic(fam, P, allow_bad=False):
+def average_A_p_analytic(fam, P):
     """Average of a_t via the closed-form collapse of the t-sum: one powmod
     and two gcds, O(log q) field operations.
 
@@ -90,11 +79,11 @@ def average_A_p_analytic(fam, P, allow_bad=False):
     D_T and -chi(x) elsewhere; the x = 0 column vanishes at good primes.
     chi sums to 0 over F_q^*, so sum_a_t = -q * (sum of chi over the roots).
     """
-    reduced = _reduced(fam, P, allow_bad)
+    reduced = _reduced(fam, P)
     fld = P.residue_field
     total = -fld.q * _root_character_sum(reduced.D_T, fld)
     return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, fld.q),
-                    method="analytic", good=reduced.reason is None)
+                    method="analytic", good=True)
 
 
 def _root_character_sum(coeffs, fld):
@@ -137,11 +126,11 @@ def check_direct_cap(norm):
             "use the analytic method for large primes")
 
 
-def average_A_p(fam, P, method="analytic", allow_bad=False):
+def average_A_p(fam, P, method="analytic"):
     if method == "direct":
-        return average_A_p_direct(fam, P, allow_bad)
+        return average_A_p_direct(fam, P)
     if method == "analytic":
-        return average_A_p_analytic(fam, P, allow_bad)
+        return average_A_p_analytic(fam, P)
     raise RankforgeError(f"unknown method {method!r}")
 
 

@@ -377,6 +377,14 @@ MALFORMED = {
     "legendre max-q zero": (None, ["legendre", "verify", "--max-q", "0"], {}),
     "legendre max-q negative": (
         None, ["legendre", "verify", "--max-q", "-5"], {}),
+    # click's own parse errors
+    "max-norm not an integer": (FAMILY_Q, ["rank", "--max-norm", "abc"], {}),
+    "method not a choice": (
+        FAMILY_Q, ["rank", "--max-norm", "10", "--method", "bogus"], {}),
+    "family path does not exist": (
+        None, ["rank", "--family", "{tmp}/missing.json", "--max-norm", "10"], {}),
+    "required option missing": (FAMILY_Q, ["rank"], {}),
+    "unknown subcommand": (None, ["bogus"], {}),
 }
 
 
@@ -398,6 +406,13 @@ def test_malformed_input_exits_2(runner, tmp_path, field_file, case):
     assert not isinstance(res.exception, (RankforgeError, ValueError, KeyError))
     assert len(res.output.strip().splitlines()) == 1
     assert res.output.startswith("Error: ")
+
+
+def test_group_without_subcommand_shows_its_help(runner):
+    # newer click raises this as a usage error; it is help, not "Error:"
+    res = runner.invoke(main, ["nagao"])
+    assert res.output.startswith("Usage: ")
+    assert "Commands:" in res.output and "Error" not in res.output
 
 
 def test_sqrt5_family_via_cli(runner, tmp_path):

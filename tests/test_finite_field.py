@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,12 @@ from rankforge.errors import (
     FieldMismatch,
     ReducibleModulus,
 )
-from rankforge.legendre import odd_prime_powers, standard_field
+from rankforge.legendre import (
+    QuadSumInput,
+    odd_prime_powers,
+    quad_sum_brute,
+    standard_field,
+)
 
 X = [0, 1]
 
@@ -195,3 +202,18 @@ def test_tables_are_built_per_call():
     kept = dict(vars(fld))
     assert fld.tables() is not fld.tables()
     assert vars(fld) == kept
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 2)], ids=["9", "25"])
+def test_t_sums_match_the_fqelem_oracle_on_every_triple(p, r):
+    # a = 0 never reaches the Legendre sweep, but the direct A_p method
+    # passes it at x = 0, so zero coefficients are covered here too
+    fld = standard_field(p, r)
+    t = fld.tables()
+    elems = enumerate_elements(fld)
+    triples = list(itertools.product(range(fld.q), repeat=3))
+    sums = t.t_sums((t.log[t.codes[a]], t.log[t.codes[b]], t.codes[c])
+                    for a, b, c in triples)
+    for (a, b, c), s in zip(triples, sums, strict=True):
+        inp = QuadSumInput(elems[a], elems[b], elems[c])
+        assert s == quad_sum_brute(inp), (a, b, c)
