@@ -6,7 +6,9 @@ code so neither has to depend on the other.
 
 mulmod is the one multiply-mod-m kernel: powmod, and through it the
 factorization and irreducibility tests, and FqElem multiplication all run
-on it. Its modulus m must be monic, and its operands reduced mod m.
+on it. Its modulus m must be monic, and its operands reduced mod m. The one
+exception is multiplication by x, a shift plus at most one reduction step
+(mulx), which powmod uses when its base is x.
 """
 
 
@@ -102,19 +104,32 @@ def mulmod(a, b, m, p):
     return trim([c % p for c in out[:dm]])
 
 
+def mulx(a, m, p):
+    """a * x mod a monic m, for a reduced mod m: a shift, then at most one
+    reduction step by m."""
+    if not a:
+        return []
+    out = [0] + a
+    if len(out) < len(m):
+        return out
+    c = out.pop()
+    return trim([(u - c * v) % p for u, v in zip(out, m)])
+
+
 def powmod(f, e, m, p):
     """f^e mod a monic m, left-to-right square and multiply; a constant f
-    stays in F_p."""
+    stays in F_p, and multiplying by a base of x is a shift."""
     if len(f) <= 1:
         return trim([pow(f[0] if f else 0, e, p)])
     if e == 0:
         return [1]
     f = mod(f, m, p)
+    by_x = f == [0, 1]
     result = f
     for bit in bin(e)[3:]:
         result = mulmod(result, result, m, p)
         if bit == "1":
-            result = mulmod(result, f, m, p)
+            result = mulx(result, m, p) if by_x else mulmod(result, f, m, p)
     return result
 
 

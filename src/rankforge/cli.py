@@ -177,19 +177,30 @@ class UsageFailure(click.ClickException):
     exit_code = 2
 
 
+@contextlib.contextmanager
+def _one_line_usage_errors():
+    try:
+        yield
+    except InvalidArgument as exc:
+        raise UsageFailure(str(exc)) from exc
+    except getattr(click.exceptions, "NoArgsIsHelpError", ()):
+        raise  # click >= 8.2: the help of a group called bare
+    except click.UsageError as exc:
+        raise UsageFailure(exc.format_message()) from exc
+
+
 class _Main(click.Group):
     """Reports an InvalidArgument or click's own usage error (but not the
-    help of a group called bare) from any subcommand in one line."""
+    help of a group called bare) in one line: from its own options, parsed
+    in make_context, and from any subcommand."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        with _one_line_usage_errors():
+            return super().make_context(info_name, args, parent=parent, **extra)
 
     def invoke(self, ctx):
-        try:
+        with _one_line_usage_errors():
             return super().invoke(ctx)
-        except InvalidArgument as exc:
-            raise UsageFailure(str(exc)) from exc
-        except getattr(click.exceptions, "NoArgsIsHelpError", ()):
-            raise  # click >= 8.2: the help of a group called bare
-        except click.UsageError as exc:
-            raise UsageFailure(exc.format_message()) from exc
 
 
 @click.group(cls=_Main)

@@ -7,17 +7,18 @@ g and h are solved degree by degree from the elementary symmetric functions
 of the r_i and the identity is re-verified by exact expansion.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
     BadPrime,
-    DenominatorNotInvertible,
     InternalIdentityFailure,
     RepeatedRoot,
     ZeroAlpha,
     ZeroRoot,
 )
-from .number_field import KElem, NumberField, PrimeIdeal, reduce_elem
+from .number_field import KElem, NumberField, PrimeIdeal
+from .number_field import integer_coords, reduce_coords
 from .poly import Poly, expand_from_roots
 
 
@@ -57,6 +58,12 @@ class CurveFamily:
     D_T: Poly
     roots: tuple  # r_i = rho_i^2
     bad_divisor: int
+    # integer_coords of alpha, r_1..r_6, a, b, c, A, B, C, D and the D_T
+    # coefficients, and the lcm of the coordinate denominators of alpha,
+    # rho_i and a..D; every element here is a polynomial in those with
+    # integer coefficients, so it reduces wherever den_lcm is prime to p
+    coords: tuple
+    den_lcm: int
 
     @property
     def K(self):
@@ -102,10 +109,16 @@ def construct_family(spec):
     if not (D_T - target).is_zero:
         raise InternalIdentityFailure("expansion does not match A*prod(x - r_i)")
 
+    coefficients = (a, b, c, A, B, C, D)
     return CurveFamily(
         spec=spec, a=a, b=b, c=c, A=A, B=B, C=C, D=D,
         g=g, h=h, D_T=D_T, roots=roots,
-        bad_divisor=_bad_divisor(spec, roots, (a, b, c, A, B, C, D)))
+        bad_divisor=_bad_divisor(spec, roots, coefficients),
+        coords=tuple(map(integer_coords, (alpha, *roots, *coefficients,
+                                          *D_T.coeffs))),
+        den_lcm=math.lcm(*(coord.denominator
+                           for elem in (alpha, *spec.rho, *coefficients)
+                           for coord in elem.coeffs)))
 
 
 def _bad_divisor(spec, roots, coefficients):
@@ -154,19 +167,17 @@ def reduce_family(fam, P):
 def _reduce(fam, P):
     if P.norm % 2 == 0:
         return ReducedFamily(f"even residue characteristic {P.p}")
-    try:
-        alpha_bar, *rho_bars = [reduce_elem(x, P)
-                                for x in (fam.spec.alpha, *fam.spec.rho)]
-        a, b, c, A, B, C, D = [reduce_elem(x, P) for x in (
-            fam.a, fam.b, fam.c, fam.A, fam.B, fam.C, fam.D)]
-    except DenominatorNotInvertible:
+    if fam.den_lcm % P.p == 0:
         return ReducedFamily(f"denominator not invertible mod {P.p}")
-    # everything else is a polynomial in the data above, so it reduces too
+    alpha_bar, *images = reduce_coords(fam.coords, P)
+    r_bars, (a, b, c, A, B, C, D), D_T = images[:6], images[6:13], images[13:]
+    # reduction is a ring map into a field: r_i = rho_i^2 vanishes mod P
+    # exactly when rho_i does
     if not alpha_bar:
         reason = f"alpha vanishes mod {P.p}"
-    elif not all(rho_bars):
+    elif not all(r_bars):
         reason = f"a root vanishes mod {P.p}"
-    elif len({r * r for r in rho_bars}) < 6:  # reduction is a ring map
+    elif len({r.coeffs for r in r_bars}) < 6:
         reason = f"repeated roots mod {P.p}"
     else:
         reason = None
@@ -175,7 +186,7 @@ def _reduce(fam, P):
         reason,
         g=(c, b, a, one),  # g = x^3 + a x^2 + b x + c never loses a term
         h=(D, C, B, A - one)[:len(fam.h.coeffs)],
-        D_T=tuple(reduce_elem(x, P) for x in fam.D_T.coeffs))
+        D_T=tuple(D_T))
 
 
 def is_good_prime(fam, P):

@@ -4,8 +4,8 @@ partial sums whose limit is the generic rank.
 The direct method, O(q^2), is minus the sum over x of the brute-force
 t-sums of FqTables.t_sums, which the Legendre sweep checks. The analytic
 method collapses each t-sum in closed form and counts the square and
-non-square roots of D_T with one powmod and two gcds, O(log q) field
-operations. At good primes both give the average -6 exactly; curve_trace
+non-square roots of D_T with one powmod of x (squarings and shifts) and two
+gcds, O(log q) field operations. At good primes both give the average -6 exactly; curve_trace
 and trace_a_t are the FqElem reference path the tests check them against.
 """
 
@@ -107,14 +107,25 @@ def _root_character_sum(coeffs, fld):
     if f.degree < 1:
         return 0
     f = f.monic()
-    x = Poly([fld.zero, fld.one]) % f
-    xh = x
+    xh = Poly([fld.zero, fld.one]) % f
     for bit in bin(h)[3:]:
         xh = xh * xh % f
         if bit == "1":
-            xh = xh * x % f
+            xh = _times_x(xh, f, fld.zero)
     one = Poly([fld.one])
     return gcd(f, xh - one).degree - gcd(f, xh + one).degree
+
+
+def _times_x(a, f, zero):
+    """a * x mod a monic f, for a of degree below deg f: a shift, then at
+    most one reduction step by f, as _modpoly.mulx does on ints."""
+    if a.is_zero:
+        return a
+    out = [zero, *a.coeffs]
+    if len(out) < len(f.coeffs):
+        return Poly(out)
+    c = out.pop()
+    return Poly([u - c * v for u, v in zip(out, f.coeffs)])
 
 
 def check_direct_cap(norm):

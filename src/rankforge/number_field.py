@@ -3,16 +3,22 @@
 O_K is approximated by the order Z[theta]: factoring the minimal polynomial
 mod p (Dedekind) gives the primes of O_K for every p outside the excluded
 set, which defaults to the primes dividing disc(m).
+
+Reduction mod P is one integer linear map: an element is written as integer
+coordinates over one denominator d (integer_coords), and its image in
+O_K/P = F_p[x]/(P.factor) is the dot product of those coordinates with the
+images of 1, theta, ..., theta^(n-1), times d^-1 mod p (reduce_coords).
 """
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _modpoly
 from .errors import DenominatorNotInvertible, NotKnownIrreducible, RankforgeError
-from .finite_field import FqField
+from .finite_field import FqElem, FqField
 from .poly import Poly, discriminant, factor_mod_p, poly_to_str, resultant, xgcd
 from .primes import sieve
 
@@ -263,17 +269,44 @@ def _factor_mod_two(m):
             for key in sorted(factors, key=lambda k: (len(k), k[::-1]))]
 
 
+def integer_coords(x):
+    """(numerators, d): the coordinates of x as integers over one
+    denominator d > 0, the lcm of the coordinate denominators."""
+    d = math.lcm(*(c.denominator for c in x.coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in x.coeffs), d
+
+
+def reduce_coords(coords, P):
+    """Images in O_K/P of a nonempty list of elements given as
+    integer_coords, whose denominators must be prime to p: one dot product
+    per residue coordinate and one inverse of the denominator each.
+
+    Column j of the map holds coordinate j of the images of 1, theta, ...,
+    theta^(n-1) in F_p[x]/(P.factor), each the one before times x.
+    """
+    p, fld = P.p, P.residue_field
+    g, power, images = list(P.factor.coeffs), [1], []
+    for _ in coords[0][0]:
+        images.append(power + [0] * (P.f - len(power)))
+        power = _modpoly.mulx(power, g, p)
+    columns = list(zip(*images))
+    out = []
+    for nums, d in coords:
+        inv = pow(d, -1, p)
+        out.append(FqElem(fld, tuple(
+            sum(map(operator.mul, nums, col)) * inv % p for col in columns)))
+    return out
+
+
 def reduce_elem(x, P):
-    """Image of x in the residue field O_K/P = F_p[x]/(P.factor): one
-    remainder of its coordinates mod P.factor, so theta maps to the class
-    of the variable."""
+    """Image of x in the residue field O_K/P = F_p[x]/(P.factor), with
+    theta mapping to the class of the variable."""
     p = P.p
     for c in x.coeffs:
         if c.denominator % p == 0:
             raise DenominatorNotInvertible(
                 f"denominator {c.denominator} not invertible mod {p}")
-    return P.residue_field.elem(
-        [c.numerator * pow(c.denominator, -1, p) for c in x.coeffs])
+    return reduce_coords([integer_coords(x)], P)[0]
 
 
 def landau_sum(K, X):

@@ -385,6 +385,8 @@ MALFORMED = {
         None, ["rank", "--family", "{tmp}/missing.json", "--max-norm", "10"], {}),
     "required option missing": (FAMILY_Q, ["rank"], {}),
     "unknown subcommand": (None, ["bogus"], {}),
+    # parsed by the main group itself, before any subcommand runs
+    "unknown top-level option": (None, ["--bogus"], {}),
 }
 
 

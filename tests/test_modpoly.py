@@ -98,6 +98,30 @@ def test_powmod_matches_reference(degree):
                 assert got == ref_powmod(f, e, m, p), (f, e, m, p)
 
 
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_powmod_of_x_matches_reference(degree):
+    # a base of x multiplies by a shift; m of degree 1 makes x a constant
+    rng = random.Random(200 + degree)
+    moduli = [(3, rand_monic(rng, 3, degree)), (3, [0] * degree + [1])]
+    for _ in range(30):
+        p = rng.choice(PRIMES)
+        moduli += [(p, rand_monic(rng, p, degree)), (p, [0] * degree + [1])]
+    for p, m in moduli:
+        for e in (1, 2, 3, degree, degree + 1, p ** degree - 1,
+                  rng.randrange(10 ** 30)):
+            got = _modpoly.powmod([0, 1], e, m, p)
+            assert is_reduced(got, p)
+            assert got == ref_powmod([0, 1], e, m, p), (e, m, p)
+
+
+def test_powmod_of_x_shifts_to_zero():
+    # x^e mod x^k is zero from e = k on, and stays zero
+    for k in range(2, 6):
+        assert _modpoly.powmod([0, 1], k - 1, [0] * k + [1], 3) == [0] * (k - 1) + [1]
+        for e in (k, k + 1, 2 * k + 1, 3 ** k - 1):
+            assert _modpoly.powmod([0, 1], e, [0] * k + [1], 3) == []
+
+
 def test_powmod_exponent_zero_is_one():
     assert _modpoly.powmod([2, 3, 1], 0, [1, 1], 5) == [1]
     assert _modpoly.powmod([4], 0, [1, 0, 1], 5) == [1]

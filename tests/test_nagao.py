@@ -210,23 +210,30 @@ def test_theta_good_matches_independent_sum(fam_sqrt5):
 def test_rank_estimate_enumerates_and_reduces_once(fam_sqrt5, monkeypatch):
     from rankforge import family, nagao, number_field
 
-    calls = {"enumerate": 0, "ideals": 0, "reduce_elem": 0}
+    calls = {"enumerate": 0, "reduce": []}
+    ideals = []
 
     def enumerate_counted(K, X):
         calls["enumerate"] += 1
-        ideals = number_field.enumerate_prime_ideals(K, X)
-        calls["ideals"] += len(ideals)
-        return ideals
+        ideals.extend(number_field.enumerate_prime_ideals(K, X))
+        return list(ideals)
 
-    def reduce_counted(x, P):
-        calls["reduce_elem"] += 1
-        return number_field.reduce_elem(x, P)
+    def reduce_counted(coords, P):
+        calls["reduce"].append(P)
+        return number_field.reduce_coords(coords, P)
 
     monkeypatch.setattr(nagao, "enumerate_prime_ideals", enumerate_counted)
-    monkeypatch.setattr(family, "reduce_elem", reduce_counted)
+    monkeypatch.setattr(family, "reduce_coords", reduce_counted)
     assert rank_estimate(fam_sqrt5, 500).nearest_integer == 6
     assert calls["enumerate"] == 1
-    assert 0 < calls["reduce_elem"] <= 21 * calls["ideals"]
+    # one batched reduction per ideal past the parity and denominator checks
+    data = (fam_sqrt5.spec.alpha, *fam_sqrt5.spec.rho, fam_sqrt5.a,
+            fam_sqrt5.b, fam_sqrt5.c, fam_sqrt5.A, fam_sqrt5.B, fam_sqrt5.C,
+            fam_sqrt5.D)
+    reducible = [P for P in ideals if P.p != 2 and all(
+        coord.denominator % P.p for x in data for coord in x.coeffs)]
+    assert len(reducible) < len(ideals)
+    assert calls["reduce"] == reducible
 
 
 def test_rank_path_builds_no_tables(fam_sqrt5, monkeypatch):

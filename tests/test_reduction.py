@@ -1,0 +1,92 @@
+"""The batched integer reduction of the family data against the per-element
+formula: every coordinate num/den maps to num * den^-1 mod p, and the
+residue field's own remainder by P.factor takes it from there."""
+
+from fractions import Fraction
+
+import pytest
+
+from rankforge import (
+    FamilySpec,
+    NumberField,
+    construct_family,
+    enumerate_prime_ideals,
+)
+from rankforge.family import ReducedFamily, _reduce
+
+X = 2000
+REASONS = ("even residue characteristic", "denominator not invertible",
+           "alpha vanishes", "a root vanishes", "repeated roots")
+
+
+def _family(min_poly, rho, alpha):
+    K = NumberField(min_poly)
+    return construct_family(FamilySpec(
+        K=K, rho=tuple(K.elem(c) for c in rho), alpha=K.elem(alpha)))
+
+
+FAMILIES = {
+    # denominators in rho and in the coefficients
+    "sqrt5 with denominators": lambda: _family(
+        [-1, -1, 1], [[Fraction(1, 2)], [2], [3, 1], [4], [5], [0, 1]], [2, 1]),
+    # residue degrees 1, 2 and 3; alpha = 7 vanishes at the inert 7
+    "cbrt2": lambda: _family(
+        [-2, 0, 0, 1], [[1], [2], [0, 1], [1, 1], [0, 0, 1], [2, 1]], [7]),
+    "Q": lambda: _family([0, 1], [[i] for i in range(1, 7)], [1]),
+}
+
+
+def _reference(fam, P):
+    """ReducedFamily by the per-element formula and the checks on rho_i."""
+    p = P.p
+    if P.norm % 2 == 0:
+        return ReducedFamily(f"even residue characteristic {p}")
+
+    def red(x):
+        return P.residue_field.elem(
+            [c.numerator * pow(c.denominator, -1, p) for c in x.coeffs])
+
+    data = (fam.spec.alpha, *fam.spec.rho,
+            fam.a, fam.b, fam.c, fam.A, fam.B, fam.C, fam.D)
+    if any(c.denominator % p == 0 for x in data for c in x.coeffs):
+        return ReducedFamily(f"denominator not invertible mod {p}")
+    alpha, *rho = map(red, data[:7])
+    a, b, c, A, B, C, D = map(red, data[7:])
+    if not alpha:
+        reason = f"alpha vanishes mod {p}"
+    elif not all(rho):
+        reason = f"a root vanishes mod {p}"
+    elif len({r * r for r in rho}) < 6:
+        reason = f"repeated roots mod {p}"
+    else:
+        reason = None
+    one = P.residue_field.one
+    return ReducedFamily(
+        reason, g=(c, b, a, one), h=(D, C, B, A - one)[:len(fam.h.coeffs)],
+        D_T=tuple(map(red, fam.D_T.coeffs)))
+
+
+def _plain(reduced):
+    """The fields of a ReducedFamily as coefficient tuples, with the field
+    of each element, so equality is exact down to the representation."""
+    def coeffs(elems):
+        return None if elems is None else [(u.field, u.coeffs) for u in elems]
+    return reduced.reason, coeffs(reduced.g), coeffs(reduced.h), coeffs(reduced.D_T)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_reduce_matches_per_element_formula(name):
+    fam = FAMILIES[name]()
+    ideals = enumerate_prime_ideals(fam.K, X)
+    for P in ideals:
+        assert _plain(_reduce(fam, P)) == _plain(_reference(fam, P)), P.label()
+    if name == "cbrt2":
+        assert {P.f for P in ideals} == {1, 2, 3}
+
+
+def test_every_bad_reason_occurs():
+    reasons = {_reduce(fam, P).reason
+               for fam in (make() for make in FAMILIES.values())
+               for P in enumerate_prime_ideals(fam.K, X)}
+    for prefix in REASONS:
+        assert any(r and r.startswith(prefix) for r in reasons), prefix
