@@ -20,24 +20,13 @@ from ._modpoly import prime_divisors
 from .errors import InvalidArgument, RankforgeError, RepeatedRoot, ZeroAlpha
 from .errors import ZeroRoot
 from .family import FamilySpec, construct_family, is_good_prime
-from .finite_field import FqField, quadratic_character
+from .finite_field import make_field, quadratic_character
 from .number_field import NumberField, landau_sum, prime_ideals_above
 from .number_field import enumerate_prime_ideals
 from .poly import fraction_to_str, poly_from_str, poly_to_str
 from .primes import is_prime, sieve
 
 DEFAULT_SEED = 20140615
-
-
-def _seed_from_env(seed):
-    text = os.environ.get("RANKFORGE_SEED")
-    if text is None:
-        return seed
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidArgument(
-            f"RANKFORGE_SEED must be an integer, got {text!r}") from None
 
 
 def _at_least(low):
@@ -223,7 +212,7 @@ def field_info(p, modulus, out):
     """Print q and a sample character table as CSV."""
     mod = _int_coeffs(modulus, "modulus")
     try:
-        fld = FqField(p, mod)
+        fld = make_field(p, mod)
     except RankforgeError as exc:
         raise InvalidArgument(str(exc)) from None
     click.echo(f"q = {fld.q} (p = {fld.p}, r = {fld.r})")
@@ -279,7 +268,6 @@ def legendre():
 def legendre_verify(max_q, exhaustive_max_q, seed, out):
     """Closed form vs. brute force per odd prime power q; exit 1 on any
     mismatch or conic-bound violation."""
-    seed = _seed_from_env(seed)
     results = legendre_mod.verify_quad_sums(
         max_q=max_q, exhaustive_max_q=exhaustive_max_q, seed=seed)
     _write_csv(out, ["q", "p", "r", "mode", "checked", "mismatches",

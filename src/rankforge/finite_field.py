@@ -27,22 +27,15 @@ from .primes import is_prime
 class FqField:
     """The field with q = p^r elements, p an odd prime.
 
-    modulus is a monic irreducible polynomial over F_p of degree r,
-    given constant-first as a sequence of ints.
+    modulus is a monic irreducible polynomial over F_p of degree r, given
+    constant-first as a sequence of ints in [0, p). The caller vouches for
+    p and the modulus; make_field checks them.
     """
 
-    def __init__(self, p, modulus, check_irreducible=True):
-        if p == 2 or not is_prime(p):
-            raise CompositeCharacteristic(f"{p} is not an odd prime")
-        mod = [c % p for c in modulus]
-        _modpoly.trim(mod)
-        if len(mod) < 2 or mod[-1] != 1:
-            raise ReducibleModulus("modulus must be monic of degree >= 1")
-        if check_irreducible and not _modpoly.is_irreducible(mod, p):
-            raise ReducibleModulus(f"modulus {mod} factors over F_{p}")
+    def __init__(self, p, modulus):
         self.p = p
-        self.r = len(mod) - 1
-        self.modulus = tuple(mod)
+        self.r = len(modulus) - 1
+        self.modulus = tuple(modulus)
         self.q = p ** self.r
         self._elements = None
         self._chi = None
@@ -281,8 +274,16 @@ class FqElem:
 
 
 def make_field(p, modulus):
-    """Field descriptor for F_p[x]/(modulus); validates p and irreducibility."""
-    return FqField(p, modulus)
+    """F_p[x]/(modulus) from unchecked input: p must be an odd prime, and
+    the modulus, reduced mod p, monic and irreducible."""
+    if p == 2 or not is_prime(p):
+        raise CompositeCharacteristic(f"{p} is not an odd prime")
+    mod = _modpoly.trim([c % p for c in modulus])
+    if len(mod) < 2 or mod[-1] != 1:
+        raise ReducibleModulus("modulus must be monic of degree >= 1")
+    if not _modpoly.is_irreducible(mod, p):
+        raise ReducibleModulus(f"modulus {mod} factors over F_{p}")
+    return FqField(p, mod)
 
 
 def enumerate_elements(field):

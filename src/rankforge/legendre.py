@@ -17,6 +17,8 @@ from .errors import FieldMismatch, ZeroLeadingCoefficient
 from .finite_field import FqElem, FqField
 from .primes import sieve
 
+RANDOM_TRIPLES = 1000  # triples per field above exhaustive_max_q
+
 
 @dataclass(frozen=True)
 class QuadSumInput:
@@ -89,7 +91,7 @@ def odd_prime_powers(limit):
 
 def standard_field(p, r):
     """F_{p^r} over a deterministic (smallest) irreducible modulus."""
-    return FqField(p, find_irreducible(p, r), check_irreducible=False)
+    return FqField(p, find_irreducible(p, r))
 
 
 def _sweep(fld, triples):
@@ -113,12 +115,12 @@ def _sweep(fld, triples):
     return checked, mism, viol
 
 
-def verify_quad_sums(max_q=343, exhaustive_max_q=49, seed=0, samples=1000):
+def verify_quad_sums(max_q=343, exhaustive_max_q=49, seed=0):
     """Oracle-equivalence and conic-bound sweep.
 
     Exhaustive over all (a, b, c) with a != 0 for q <= exhaustive_max_q;
-    seeded random triples for larger q up to max_q. Returns one SweepResult
-    per odd prime power q.
+    RANDOM_TRIPLES seeded random triples for larger q up to max_q. Returns
+    one SweepResult per odd prime power q.
     """
     results = []
     for q, p, r in odd_prime_powers(max_q):
@@ -128,7 +130,7 @@ def verify_quad_sums(max_q=343, exhaustive_max_q=49, seed=0, samples=1000):
         else:
             rng = random.Random(seed * 1000003 + q)
             triples = ((rng.randrange(1, q), rng.randrange(q), rng.randrange(q))
-                       for _ in range(samples))
+                       for _ in range(RANDOM_TRIPLES))
         checked, mism, viol = _sweep(standard_field(p, r), triples)
         results.append(SweepResult(
             q=q, p=p, r=r,

@@ -4,8 +4,9 @@ partial sums whose limit is the generic rank.
 The direct method, O(q^2), is minus the sum over x of the brute-force
 t-sums of FqTables.t_sums, which the Legendre sweep checks. The analytic
 method collapses each t-sum in closed form and counts the square and
-non-square roots of D_T with one powmod of x (squarings and shifts) and two
-gcds, O(log q) field operations. At good primes both give the average -6 exactly; curve_trace
+non-square roots of D_T with two gcds against x^((q-1)/2), built by one
+powmod over F_p modulo the norm of D_T at every residue degree: O(log q)
+operations. At good primes both give the average -6 exactly; curve_trace
 and trace_a_t are the FqElem reference path the tests check them against.
 """
 
@@ -87,45 +88,32 @@ def average_A_p_analytic(fam, P):
 
 
 def _root_character_sum(coeffs, fld):
-    """Sum of chi(r) over the distinct roots r != 0 of a polynomial over fld.
+    """Sum of chi(r) over the distinct roots r != 0 of a polynomial f over fld.
 
     With h = (q-1)/2, x^h - 1 and x^h + 1 are the squarefree products of
     x - r over the nonzero squares and over the non-squares, so the sum is
     deg gcd(f, x^h - 1) - deg gcd(f, x^h + 1) (Cohen, GTM 138, 3.4).
+
+    x^h is built by one powmod over F_p at every residue degree r, modulo
+    the norm N(f) = f f^s ... f^(s^(r-1)), s the p-th power map on the
+    coefficients (Trager 1976): N(f) lies in F_p[x] and f divides it, so
+    x^h mod N(f) has the same gcds with f as x^h itself.
     """
-    h = (fld.q - 1) // 2
-    if fld.r == 1:
-        p = fld.p
-        f = _modpoly.trim([c.coeffs[0] for c in coeffs])
-        if len(f) < 2:
-            return 0
-        f = _modpoly.monic(f, p)
-        xh = _modpoly.powmod([0, 1], h, f, p)
-        return (len(_modpoly.gcd(f, _modpoly.sub(xh, [1], p), p))
-                - len(_modpoly.gcd(f, _modpoly.add(xh, [1], p), p)))
+    p = fld.p
     f = Poly(coeffs)
     if f.degree < 1:
         return 0
-    f = f.monic()
-    xh = Poly([fld.zero, fld.one]) % f
-    for bit in bin(h)[3:]:
-        xh = xh * xh % f
-        if bit == "1":
-            xh = _times_x(xh, f, fld.zero)
-    one = Poly([fld.one])
+    norm = conj = f
+    for _ in range(fld.r - 1):
+        conj = Poly([c ** p for c in conj.coeffs])
+        norm = norm * conj
+    m = _modpoly.monic([c.coeffs[0] for c in norm.coeffs], p)
+    xh = _modpoly.powmod([0, 1], (fld.q - 1) // 2, m, p)
+    if fld.r == 1:
+        return (len(_modpoly.gcd(m, _modpoly.sub(xh, [1], p), p))
+                - len(_modpoly.gcd(m, _modpoly.add(xh, [1], p), p)))
+    xh, one = Poly(map(fld.elem, xh)), Poly([fld.one])
     return gcd(f, xh - one).degree - gcd(f, xh + one).degree
-
-
-def _times_x(a, f, zero):
-    """a * x mod a monic f, for a of degree below deg f: a shift, then at
-    most one reduction step by f, as _modpoly.mulx does on ints."""
-    if a.is_zero:
-        return a
-    out = [zero, *a.coeffs]
-    if len(out) < len(f.coeffs):
-        return Poly(out)
-    c = out.pop()
-    return Poly([u - c * v for u, v in zip(out, f.coeffs)])
 
 
 def check_direct_cap(norm):

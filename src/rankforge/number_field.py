@@ -221,7 +221,7 @@ class PrimeIdeal:
 
     @functools.cached_property
     def residue_field(self):
-        return FqField(self.p, list(self.factor.coeffs), check_irreducible=False)
+        return FqField(self.p, self.factor.coeffs)
 
     def sort_key(self):
         return (self.norm, self.p, self.factor.coeffs)

@@ -271,128 +271,126 @@ def _without(key):
     return {k: v for k, v in FAMILY_Q.items() if k != key}
 
 
-# (family spec, extra CLI arguments, environment); the family spec goes to
+# (family spec, extra CLI arguments); the family spec goes to
 # --family, or --spec for "family construct"; {tmp} in an argument is a
 # fresh empty directory
 MALFORMED = {
     "checkpoint above max-norm": (
         FAMILY_Q, ["nagao", "series", "--max-norm", "100",
-                   "--checkpoints", "50,100000"], {}),
+                   "--checkpoints", "50,100000"]),
     "checkpoint zero": (
         FAMILY_Q, ["nagao", "series", "--max-norm", "100",
-                   "--checkpoints", "0,50"], {}),
+                   "--checkpoints", "0,50"]),
     "checkpoint not an integer": (
         FAMILY_Q, ["nagao", "series", "--max-norm", "100",
-                   "--checkpoints", "50,abc"], {}),
+                   "--checkpoints", "50,abc"]),
     "series max-norm zero": (
-        FAMILY_Q, ["nagao", "series", "--max-norm", "0"], {}),
+        FAMILY_Q, ["nagao", "series", "--max-norm", "0"]),
     "direct above its cap": (
         FAMILY_Q, ["nagao", "series", "--max-norm", "5000",
-                   "--method", "direct"], {}),
-    "rank max-norm negative": (FAMILY_Q, ["rank", "--max-norm", "-5"], {}),
+                   "--method", "direct"]),
+    "rank max-norm negative": (FAMILY_Q, ["rank", "--max-norm", "-5"]),
     "rank direct above its cap": (
-        FAMILY_Q, ["rank", "--max-norm", "1001", "--method", "direct"], {}),
-    "landau max-norm zero": (None, ["landau", "--max-norm", "0"], {}),
-    "ideals max-norm zero": (None, ["ideals", "list", "--max-norm", "0"], {}),
-    "missing rho": (_without("rho"), ["rank", "--max-norm", "100"], {}),
-    "missing alpha": (_without("alpha"), ["rank", "--max-norm", "100"], {}),
-    "missing field": (_without("field"), ["rank", "--max-norm", "100"], {}),
+        FAMILY_Q, ["rank", "--max-norm", "1001", "--method", "direct"]),
+    "landau max-norm zero": (None, ["landau", "--max-norm", "0"]),
+    "ideals max-norm zero": (None, ["ideals", "list", "--max-norm", "0"]),
+    "missing rho": (_without("rho"), ["rank", "--max-norm", "100"]),
+    "missing alpha": (_without("alpha"), ["rank", "--max-norm", "100"]),
+    "missing field": (_without("field"), ["rank", "--max-norm", "100"]),
     "missing min_poly": (
-        {**FAMILY_Q, "field": {}}, ["rank", "--max-norm", "100"], {}),
+        {**FAMILY_Q, "field": {}}, ["rank", "--max-norm", "100"]),
     "five rho": (
         {**FAMILY_Q, "rho": ["1", "2", "3", "4", "5"]},
-        ["rank", "--max-norm", "100"], {}),
+        ["rank", "--max-norm", "100"]),
     "rho not a number": (
         {**FAMILY_Q, "rho": ["1", "2", "3", "4", "5", "x"]},
-        ["rank", "--max-norm", "100"], {}),
-    "construct missing rho": (_without("rho"), ["family", "construct"], {}),
-    "seed not an integer": (
-        None, ["legendre", "verify", "--max-q", "9"], {"RANKFORGE_SEED": "abc"}),
+        ["rank", "--max-norm", "100"]),
+    "construct missing rho": (_without("rho"), ["family", "construct"]),
     "min_poly not monic": (
-        {**FAMILY_Q, "field": {"min_poly": "0,2"}}, ["rank", "--max-norm", "100"], {}),
+        {**FAMILY_Q, "field": {"min_poly": "0,2"}}, ["rank", "--max-norm", "100"]),
     "min_poly with a rational root": (
         {**FAMILY_Q, "field": {"min_poly": "-4,0,1"}},
-        ["rank", "--max-norm", "100"], {}),
+        ["rank", "--max-norm", "100"]),
     "min_poly not squarefree": (
         {**FAMILY_Q, "field": {"min_poly": "1,2,1"}},
-        ["rank", "--max-norm", "100"], {}),
+        ["rank", "--max-norm", "100"]),
     "min_poly not known irreducible": (
         {**FAMILY_Q, "field": {"min_poly": "1,0,0,0,1"}},
-        ["rank", "--max-norm", "100"], {}),
+        ["rank", "--max-norm", "100"]),
     "min_poly not integral": (
         {**FAMILY_Q, "field": {"min_poly": "3/2,0,1"}},
-        ["rank", "--max-norm", "100"], {}),
+        ["rank", "--max-norm", "100"]),
     "excluded_primes not integers": (
         {**FAMILY_Q, "field": {"min_poly": "-1,-1,1", "excluded_primes": ["a"]}},
-        ["rank", "--max-norm", "100"], {}),
+        ["rank", "--max-norm", "100"]),
     "excluded_primes not a list": (
         {**FAMILY_Q, "field": {"min_poly": "-1,-1,1", "excluded_primes": 5}},
-        ["rank", "--max-norm", "100"], {}),
+        ["rank", "--max-norm", "100"]),
     "repeated root": (
         {**FAMILY_Q, "rho": ["1", "2", "3", "4", "5", "-5"]},
-        ["rank", "--max-norm", "100"], {}),
+        ["rank", "--max-norm", "100"]),
     "zero rho": (
         {**FAMILY_Q, "rho": ["1", "2", "0", "4", "5", "6"]},
-        ["rank", "--max-norm", "100"], {}),
-    "zero alpha": ({**FAMILY_Q, "alpha": "0"}, ["rank", "--max-norm", "100"], {}),
-    "construct zero alpha": ({**FAMILY_Q, "alpha": "0"}, ["family", "construct"], {}),
+        ["rank", "--max-norm", "100"]),
+    "zero alpha": ({**FAMILY_Q, "alpha": "0"}, ["rank", "--max-norm", "100"]),
+    "construct zero alpha": ({**FAMILY_Q, "alpha": "0"}, ["family", "construct"]),
     "field info modulus does not parse": (
-        None, ["field", "info", "--p", "3", "--modulus", "abc"], {}),
+        None, ["field", "info", "--p", "3", "--modulus", "abc"]),
     "field info p not a prime": (
-        None, ["field", "info", "--p", "4", "--modulus", "0,1"], {}),
+        None, ["field", "info", "--p", "4", "--modulus", "0,1"]),
     "field info reducible modulus": (
-        None, ["field", "info", "--p", "5", "--modulus", "-1,0,1"], {}),
+        None, ["field", "info", "--p", "5", "--modulus", "-1,0,1"]),
     "nagao ap p zero": (
-        {**FAMILY_Q, "field": FIELD_SQRT5}, ["nagao", "ap", "--p", "0"], {}),
-    "nagao ap p composite": (FAMILY_Q, ["nagao", "ap", "--p", "9"], {}),
+        {**FAMILY_Q, "field": FIELD_SQRT5}, ["nagao", "ap", "--p", "0"]),
+    "nagao ap p composite": (FAMILY_Q, ["nagao", "ap", "--p", "9"]),
     "nagao ap direct above its cap": (
-        FAMILY_Q, ["nagao", "ap", "--p", "100003", "--method", "direct"], {}),
+        FAMILY_Q, ["nagao", "ap", "--p", "100003", "--method", "direct"]),
     "nagao ap both above its cap": (
-        FAMILY_Q, ["nagao", "ap", "--p", "1009", "--method", "both"], {}),
+        FAMILY_Q, ["nagao", "ap", "--p", "1009", "--method", "both"]),
     "nagao ap direct at an inert ideal above its cap": (
         {**FAMILY_Q, "field": FIELD_SQRT5},
-        ["nagao", "ap", "--p", "37", "--method", "direct"], {}),
+        ["nagao", "ap", "--p", "37", "--method", "direct"]),
     "badprimes max-p negative": (
-        FAMILY_Q, ["family", "badprimes", "--max-p", "-5"], {}),
+        FAMILY_Q, ["family", "badprimes", "--max-p", "-5"]),
     "family is a directory": (
-        None, ["rank", "--family", "{tmp}", "--max-norm", "10"], {}),
+        None, ["rank", "--family", "{tmp}", "--max-norm", "10"]),
     "legendre out in a missing directory": (
         None, ["legendre", "verify", "--max-q", "9",
-               "--out", "{tmp}/missing/x.csv"], {}),
+               "--out", "{tmp}/missing/x.csv"]),
     "legendre out is a directory": (
-        None, ["legendre", "verify", "--max-q", "9", "--out", "{tmp}"], {}),
+        None, ["legendre", "verify", "--max-q", "9", "--out", "{tmp}"]),
     "field info out in a missing directory": (
         None, ["field", "info", "--p", "3", "--modulus", "1,0,1",
-               "--out", "{tmp}/missing/x.csv"], {}),
+               "--out", "{tmp}/missing/x.csv"]),
     "ideals out in a missing directory": (
         None, ["ideals", "list", "--max-norm", "10",
-               "--out", "{tmp}/missing/x.csv"], {}),
+               "--out", "{tmp}/missing/x.csv"]),
     "construct out in a missing directory": (
-        FAMILY_Q, ["family", "construct", "--out", "{tmp}/missing/x.json"], {}),
+        FAMILY_Q, ["family", "construct", "--out", "{tmp}/missing/x.json"]),
     # refused before the series starts, not after it
     "series out in a missing directory": (
         FAMILY_Q, ["nagao", "series", "--max-norm", "1000000",
-                   "--out", "{tmp}/missing/x.csv"], {}),
-    "legendre max-q 2": (None, ["legendre", "verify", "--max-q", "2"], {}),
-    "legendre max-q zero": (None, ["legendre", "verify", "--max-q", "0"], {}),
+                   "--out", "{tmp}/missing/x.csv"]),
+    "legendre max-q 2": (None, ["legendre", "verify", "--max-q", "2"]),
+    "legendre max-q zero": (None, ["legendre", "verify", "--max-q", "0"]),
     "legendre max-q negative": (
-        None, ["legendre", "verify", "--max-q", "-5"], {}),
+        None, ["legendre", "verify", "--max-q", "-5"]),
     # click's own parse errors
-    "max-norm not an integer": (FAMILY_Q, ["rank", "--max-norm", "abc"], {}),
+    "max-norm not an integer": (FAMILY_Q, ["rank", "--max-norm", "abc"]),
     "method not a choice": (
-        FAMILY_Q, ["rank", "--max-norm", "10", "--method", "bogus"], {}),
+        FAMILY_Q, ["rank", "--max-norm", "10", "--method", "bogus"]),
     "family path does not exist": (
-        None, ["rank", "--family", "{tmp}/missing.json", "--max-norm", "10"], {}),
-    "required option missing": (FAMILY_Q, ["rank"], {}),
-    "unknown subcommand": (None, ["bogus"], {}),
+        None, ["rank", "--family", "{tmp}/missing.json", "--max-norm", "10"]),
+    "required option missing": (FAMILY_Q, ["rank"]),
+    "unknown subcommand": (None, ["bogus"]),
     # parsed by the main group itself, before any subcommand runs
-    "unknown top-level option": (None, ["--bogus"], {}),
+    "unknown top-level option": (None, ["--bogus"]),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_input_exits_2(runner, tmp_path, field_file, case):
-    spec, args, env = MALFORMED[case]
+    spec, args = MALFORMED[case]
     empty = tmp_path / "empty"
     empty.mkdir()
     args = [a.replace("{tmp}", str(empty)) for a in args]
@@ -403,7 +401,7 @@ def test_malformed_input_exits_2(runner, tmp_path, field_file, case):
         path.write_text(json.dumps(spec))
         flag = "--spec" if args[:2] == ["family", "construct"] else "--family"
         args = args + [flag, str(path)]
-    res = runner.invoke(main, args, env=env)
+    res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert not isinstance(res.exception, (RankforgeError, ValueError, KeyError))
     assert len(res.output.strip().splitlines()) == 1

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -92,15 +93,19 @@ def test_method_agreement_small_norms(fam_rat, fam_sqrt5, fam_cbrt2):
 
 @pytest.mark.parametrize("p, modulus", [
     (3, [0, 1]), (7, [0, 1]), (13, [0, 1]), (3, [1, 0, 1]), (5, [2, 0, 1]),
-    (3, [1, 2, 0, 1])], ids=["3", "7", "13", "9", "25", "27"])
+    (3, [1, 2, 0, 1]), (3, [2, 1, 0, 0, 1]), (3, [1, 2, 0, 0, 0, 1])],
+    ids=["3", "7", "13", "9", "25", "27", "81", "243"])
 def test_root_character_sum_counts_squares_and_non_squares(p, modulus):
     # family D_T has only square roots; random polynomials have both kinds,
-    # repeated roots and roots at 0
+    # repeated roots, roots at 0 and, every tenth, a factor (x - a)^p, on
+    # which f' vanishes
     fld = make_field(p, modulus)
     rng = random.Random(p ** len(modulus))
     elements = fld.elements()
-    for _ in range(60):
+    for i in range(60):
         roots = rng.choices(elements, k=rng.randrange(7))
+        if i % 10 == 0:
+            roots += [rng.choice(elements)] * p
         f = Poly([rng.choice(elements[1:])])
         for r in roots:
             f = f * Poly([-r, fld.one])
@@ -128,6 +133,30 @@ def test_residue_degree_three(fam_cbrt2):
         a = average_A_p_analytic(fam_cbrt2, P)
         assert d.sum_a_t == a.sum_a_t == -6 * P.norm
         assert d.A_p == a.A_p == -6
+
+
+def test_one_powmod_of_x_per_ideal(fam_cbrt2, monkeypatch):
+    # every residue degree builds x^((q-1)/2) with the one F_p powmod,
+    # modulo the norm of D_T: degree 6 f at an ideal of degree f
+    from rankforge import _modpoly, nagao
+
+    calls = []
+
+    def powmod_counted(f, e, m, p):
+        calls.append((f, e, len(m) - 1))
+        return _modpoly.powmod(f, e, m, p)
+
+    monkeypatch.setattr(nagao, "_modpoly", types.SimpleNamespace(
+        **{**vars(_modpoly), "powmod": powmod_counted}))
+    degrees = set()
+    for P in enumerate_prime_ideals(fam_cbrt2.K, 400):
+        if not is_good_prime(fam_cbrt2, P)[0]:
+            continue
+        calls.clear()
+        assert average_A_p_analytic(fam_cbrt2, P).A_p == -6
+        assert calls == [([0, 1], (P.norm - 1) // 2, 6 * P.f)], P.label()
+        degrees.add(P.f)
+    assert degrees == {1, 2, 3}
 
 
 def test_hasse_bound_nonsingular_fibers(fam_rat):
