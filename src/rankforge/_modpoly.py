@@ -5,10 +5,15 @@ the zero polynomial is []. Shared by the finite-field and factorization
 code so neither has to depend on the other.
 
 mulmod is the one multiply-mod-m kernel: powmod, and through it the
-factorization and irreducibility tests, and FqElem multiplication all run
-on it. Its modulus m must be monic, and its operands reduced mod m. The one
-exception is multiplication by x, a shift plus at most one reduction step
-(mulx), which powmod uses when its base is x.
+factorization and irreducibility tests, FqElem multiplication and the
+A_p kernel's x^((q-1)/2) all run on it. Its modulus m must be monic, of
+degree d, and its operands reduced mod m. The kernel packs the residues
+into one int, slot i holding coefficient i in whole 64-bit words wide
+enough for 2 d p^2 (Kronecker substitution; Harvey 2009), so a product is
+one big-int multiply. The slots at or above d are folded back from the
+top, each times the packed -m mod p, and every coefficient then takes one
+% p. powmod keeps its power packed from start to end; for a base of x,
+the multiply after a squaring is a one-slot shift of the square.
 """
 
 
@@ -85,52 +90,76 @@ def gcd(f, g, p):
     return monic(f, p)
 
 
+def _slot_bits(d, p):
+    """Width of one packed slot for a modulus of degree d: whole 64-bit
+    words holding 2 d p^2, above every coefficient of a product of two
+    reduced operands (at most d (p-1)^2) plus what folding adds to it."""
+    return -(-(2 * d * p * p).bit_length() // 64) * 64
+
+
+def _pack(coeffs, bits):
+    """The int holding coefficient i in slot i."""
+    v = 0
+    for c in reversed(coeffs):
+        v = v << bits | c
+    return v
+
+
+def _fold(v, top, d, negm, bits, p):
+    """v mod m, packed: slots top down to d of v are each taken % p and
+    added, times the packed -m mod p, to the d slots below them; then each
+    of the d low slots is taken % p. Slots never carry."""
+    mask = (1 << bits) - 1
+    low = d * bits
+    for shift in range(top * bits, low - 1, -bits):
+        v += (v >> shift & mask) % p * negm << (shift - low)
+    out = 0
+    for shift in range(low - bits, -1, -bits):
+        out = out << bits | (v >> shift & mask) % p
+    return out
+
+
+def _unpack(v, d, bits):
+    mask = (1 << bits) - 1
+    return trim([v >> shift & mask for shift in range(0, d * bits, bits)])
+
+
+def _packing(m, p):
+    """(d, slot bits, packed -m mod p) for a monic m of degree d."""
+    d = len(m) - 1
+    bits = _slot_bits(d, p)
+    return d, bits, _pack([-c % p for c in m[:d]], bits)
+
+
 def mulmod(a, b, m, p):
-    """a * b mod m for monic m and a, b of degree below deg m: a schoolbook
-    product, then a descending reduction by m, one % p per coefficient."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    dm = len(m) - 1
-    for k in range(len(out) - 1, dm - 1, -1):
-        c = out[k] % p
-        if c:
-            for i in range(dm):
-                out[k - dm + i] -= c * m[i]
-    return trim([c % p for c in out[:dm]])
-
-
-def mulx(a, m, p):
-    """a * x mod a monic m, for a reduced mod m: a shift, then at most one
-    reduction step by m."""
-    if not a:
-        return []
-    out = [0] + a
-    if len(out) < len(m):
-        return out
-    c = out.pop()
-    return trim([(u - c * v) % p for u, v in zip(out, m)])
+    """a * b mod m for monic m and a, b of degree below deg m: one big-int
+    product of the packed operands (Kronecker substitution), then _fold."""
+    d, bits, negm = _packing(m, p)
+    prod = _pack(a, bits) * _pack(b, bits)
+    return _unpack(_fold(prod, len(a) + len(b) - 2, d, negm, bits, p), d, bits)
 
 
 def powmod(f, e, m, p):
-    """f^e mod a monic m, left-to-right square and multiply; a constant f
-    stays in F_p, and multiplying by a base of x is a shift."""
+    """f^e mod a monic m, left-to-right square and multiply on the packed
+    kernel of mulmod, packed from start to end; a constant f stays in F_p,
+    and multiplying by a base of x shifts the square by one slot."""
     if len(f) <= 1:
         return trim([pow(f[0] if f else 0, e, p)])
     if e == 0:
         return [1]
     f = mod(f, m, p)
+    d, bits, negm = _packing(m, p)
     by_x = f == [0, 1]
-    result = f
+    v = base = _pack(f, bits)
+    top = 2 * d - 2
     for bit in bin(e)[3:]:
-        result = mulmod(result, result, m, p)
+        if bit == "1" and by_x:
+            v = _fold(v * v << bits, top + 1, d, negm, bits, p)
+            continue
+        v = _fold(v * v, top, d, negm, bits, p)
         if bit == "1":
-            result = mulx(result, m, p) if by_x else mulmod(result, f, m, p)
-    return result
+            v = _fold(v * base, top, d, negm, bits, p)
+    return _unpack(v, d, bits)
 
 
 def deriv(f, p):

@@ -59,9 +59,11 @@ class CurveFamily:
     roots: tuple  # r_i = rho_i^2
     bad_divisor: int
     # integer_coords of alpha, r_1..r_6, a, b, c, A, B, C, D and the D_T
-    # coefficients, and the lcm of the coordinate denominators of alpha,
-    # rho_i and a..D; every element here is a polynomial in those with
-    # integer coefficients, so it reduces wherever den_lcm is prime to p
+    # coefficients over one common denominator, and the lcm of the
+    # coordinate denominators of alpha, rho_i and a..D; every element here
+    # is a polynomial in those with integer coefficients, so the primes of
+    # the common denominator divide den_lcm, and it reduces wherever
+    # den_lcm is prime to p
     coords: tuple
     den_lcm: int
 
@@ -114,8 +116,7 @@ def construct_family(spec):
         spec=spec, a=a, b=b, c=c, A=A, B=B, C=C, D=D,
         g=g, h=h, D_T=D_T, roots=roots,
         bad_divisor=_bad_divisor(spec, roots, coefficients),
-        coords=tuple(map(integer_coords, (alpha, *roots, *coefficients,
-                                          *D_T.coeffs))),
+        coords=integer_coords(alpha, *roots, *coefficients, *D_T.coeffs),
         den_lcm=math.lcm(*(coord.denominator
                            for elem in (alpha, *spec.rho, *coefficients)
                            for coord in elem.coeffs)))
@@ -139,7 +140,8 @@ def _bad_divisor(spec, roots, coefficients):
 
 @dataclass(frozen=True)
 class ReducedFamily:
-    """Family data reduced at one prime ideal. reason is None at a good
+    """Family data reduced at one prime ideal, each coefficient the tuple of
+    its f coordinates over F_p (FqElem.coeffs). reason is None at a good
     prime; g, h and D_T are None where the data does not reduce at all."""
     reason: object  # str or None
     g: tuple = None
@@ -173,19 +175,20 @@ def _reduce(fam, P):
     r_bars, (a, b, c, A, B, C, D), D_T = images[:6], images[6:13], images[13:]
     # reduction is a ring map into a field: r_i = rho_i^2 vanishes mod P
     # exactly when rho_i does
-    if not alpha_bar:
+    if not any(alpha_bar):
         reason = f"alpha vanishes mod {P.p}"
-    elif not all(r_bars):
+    elif not all(map(any, r_bars)):
         reason = f"a root vanishes mod {P.p}"
-    elif len({r.coeffs for r in r_bars}) < 6:
+    elif len(set(r_bars)) < 6:
         reason = f"repeated roots mod {P.p}"
     else:
         reason = None
-    one = P.residue_field.one
+    one = (1,) + (0,) * (P.f - 1)
+    A_minus_one = ((A[0] - 1) % P.p, *A[1:])
     return ReducedFamily(
         reason,
         g=(c, b, a, one),  # g = x^3 + a x^2 + b x + c never loses a term
-        h=(D, C, B, A - one)[:len(fam.h.coeffs)],
+        h=(D, C, B, A_minus_one)[:len(fam.h.coeffs)],
         D_T=tuple(D_T))
 
 
@@ -206,4 +209,5 @@ def fiber_polynomial(fam, P, t):
     if reduced.g is None:
         raise BadPrime(reduced.reason)
     x3 = Poly([fld.zero] * 3 + [t * t])
-    return x3 + Poly(reduced.g) * (t + t) - Poly(reduced.h)
+    g, h = (Poly(map(fld.elem, c)) for c in (reduced.g, reduced.h))
+    return x3 + g * (t + t) - h

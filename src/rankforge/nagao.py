@@ -5,8 +5,11 @@ The direct method, O(q^2), is minus the sum over x of the brute-force
 t-sums of FqTables.t_sums, which the Legendre sweep checks. The analytic
 method collapses each t-sum in closed form and counts the square and
 non-square roots of D_T with two gcds against x^((q-1)/2), built by one
-powmod over F_p modulo the norm of D_T at every residue degree: O(log q)
-operations. At good primes both give the average -6 exactly; curve_trace
+packed powmod over F_p modulo the norm of D_T at every residue degree:
+O(log q) big-int products. It reads the reduced family as the coefficient
+tuples of ReducedFamily, so at residue degree 1 it runs on ints from start
+to end; FqElem arithmetic is left to the norm and the two gcds over F_q of
+r > 1. At good primes both methods give the average -6 exactly; curve_trace
 and trace_a_t are the FqElem reference path the tests check them against.
 """
 
@@ -63,7 +66,7 @@ def average_A_p_direct(fam, P):
     fld = P.residue_field
     codes, _, log, _ = tables = fld.tables()
     code = dict(zip(fld.elements(), codes))
-    g, minus_h = Poly(reduced.g), -Poly(reduced.h)
+    g, minus_h = Poly(map(fld.elem, reduced.g)), -Poly(map(fld.elem, reduced.h))
     total = -sum(tables.t_sums(
         (log[code[x * x * x]], log[code[2 * g(x)]], code[minus_h(x)])
         for x in fld.elements()))
@@ -88,7 +91,8 @@ def average_A_p_analytic(fam, P):
 
 
 def _root_character_sum(coeffs, fld):
-    """Sum of chi(r) over the distinct roots r != 0 of a polynomial f over fld.
+    """Sum of chi(r) over the distinct roots r != 0 of a polynomial f over
+    fld, given by the coefficient tuples of ReducedFamily.
 
     With h = (q-1)/2, x^h - 1 and x^h + 1 are the squarefree products of
     x - r over the nonzero squares and over the non-squares, so the sum is
@@ -97,17 +101,23 @@ def _root_character_sum(coeffs, fld):
     x^h is built by one powmod over F_p at every residue degree r, modulo
     the norm N(f) = f f^s ... f^(s^(r-1)), s the p-th power map on the
     coefficients (Trager 1976): N(f) lies in F_p[x] and f divides it, so
-    x^h mod N(f) has the same gcds with f as x^h itself.
+    x^h mod N(f) has the same gcds with f as x^h itself. At r = 1, N(f) = f
+    and everything stays on ints; FqElem arithmetic is left to the norm and
+    the two gcds over F_q of r > 1.
     """
     p = fld.p
-    f = Poly(coeffs)
-    if f.degree < 1:
+    if fld.r == 1:
+        m = _modpoly.trim([c for c, in coeffs])
+    else:
+        f = Poly(map(fld.elem, coeffs))
+        norm = conj = f
+        for _ in range(fld.r - 1):
+            conj = Poly([c ** p for c in conj.coeffs])
+            norm = norm * conj
+        m = [c.coeffs[0] for c in norm.coeffs]
+    if len(m) < 2:
         return 0
-    norm = conj = f
-    for _ in range(fld.r - 1):
-        conj = Poly([c ** p for c in conj.coeffs])
-        norm = norm * conj
-    m = _modpoly.monic([c.coeffs[0] for c in norm.coeffs], p)
+    m = _modpoly.monic(m, p)
     xh = _modpoly.powmod([0, 1], (fld.q - 1) // 2, m, p)
     if fld.r == 1:
         return (len(_modpoly.gcd(m, _modpoly.sub(xh, [1], p), p))

@@ -4,10 +4,13 @@ O_K is approximated by the order Z[theta]: factoring the minimal polynomial
 mod p (Dedekind) gives the primes of O_K for every p outside the excluded
 set, which defaults to the primes dividing disc(m).
 
-Reduction mod P is one integer linear map: an element is written as integer
-coordinates over one denominator d (integer_coords), and its image in
-O_K/P = F_p[x]/(P.factor) is the dot product of those coordinates with the
-images of 1, theta, ..., theta^(n-1), times d^-1 mod p (reduce_coords).
+Reduction mod P is one integer linear map on ints: a batch of elements is
+written as integer coordinates over one common denominator d
+(integer_coords), and the image of each in O_K/P = F_p[x]/(P.factor) is the
+tuple of its f coordinates over F_p, the dot products of its coordinates
+with the images of 1, theta, ..., theta^(n-1) times d^-1 mod p, one inverse
+per batch (reduce_coords). reduce_elem wraps one such tuple in an FqElem;
+the rank path keeps the tuples. No residue field is built above 2.
 """
 
 import functools
@@ -17,7 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _modpoly
-from .errors import DenominatorNotInvertible, NotKnownIrreducible, RankforgeError
+from .errors import (
+    DenominatorNotInvertible,
+    EvenCharacteristic,
+    NotKnownIrreducible,
+    RankforgeError,
+)
 from .finite_field import FqElem, FqField
 from .poly import Poly, discriminant, factor_mod_p, poly_to_str, resultant, xgcd
 from .primes import sieve
@@ -221,6 +229,11 @@ class PrimeIdeal:
 
     @functools.cached_property
     def residue_field(self):
+        """O_K/P; refused above 2, where Euler's criterion and the squares
+        table of FqField would disagree on the quadratic character."""
+        if self.p == 2:
+            raise EvenCharacteristic(
+                f"even residue characteristic 2 at {self.label()}")
         return FqField(self.p, self.factor.coeffs)
 
     def sort_key(self):
@@ -269,44 +282,43 @@ def _factor_mod_two(m):
             for key in sorted(factors, key=lambda k: (len(k), k[::-1]))]
 
 
-def integer_coords(x):
-    """(numerators, d): the coordinates of x as integers over one
-    denominator d > 0, the lcm of the coordinate denominators."""
-    d = math.lcm(*(c.denominator for c in x.coeffs))
-    return tuple(c.numerator * (d // c.denominator) for c in x.coeffs), d
+def integer_coords(*elems):
+    """(rows, d): the coordinates of each element as integers over one
+    common denominator d > 0, the lcm of all their coordinate denominators."""
+    d = math.lcm(*(c.denominator for x in elems for c in x.coeffs))
+    return tuple(tuple(c.numerator * (d // c.denominator) for c in x.coeffs)
+                 for x in elems), d
 
 
 def reduce_coords(coords, P):
-    """Images in O_K/P of a nonempty list of elements given as
-    integer_coords, whose denominators must be prime to p: one dot product
-    per residue coordinate and one inverse of the denominator each.
+    """Coefficient tuples in O_K/P = F_p[x]/(P.factor) of nonempty
+    integer_coords, whose denominator d must be prime to p: one dot product
+    per residue coordinate, and one inverse of d per call.
 
     Column j of the map holds coordinate j of the images of 1, theta, ...,
-    theta^(n-1) in F_p[x]/(P.factor), each the one before times x.
+    theta^(n-1) times d^-1, each the one before times theta mod P.factor.
     """
-    p, fld = P.p, P.residue_field
-    g, power, images = list(P.factor.coeffs), [1], []
-    for _ in coords[0][0]:
-        images.append(power + [0] * (P.f - len(power)))
-        power = _modpoly.mulx(power, g, p)
-    columns = list(zip(*images))
-    out = []
-    for nums, d in coords:
-        inv = pow(d, -1, p)
-        out.append(FqElem(fld, tuple(
-            sum(map(operator.mul, nums, col)) * inv % p for col in columns)))
-    return out
+    rows, d = coords
+    p, g = P.p, P.factor.coeffs
+    theta = _modpoly.mod([0, 1], g, p)
+    images = [[pow(d, -1, p)]]
+    for _ in rows[0][1:]:
+        images.append(_modpoly.mulmod(images[-1], theta, g, p))
+    columns = zip(*(im + [0] * (P.f - len(im)) for im in images))
+    return list(zip(*([sum(map(operator.mul, nums, col)) % p for nums in rows]
+                      for col in columns)))
 
 
 def reduce_elem(x, P):
     """Image of x in the residue field O_K/P = F_p[x]/(P.factor), with
     theta mapping to the class of the variable."""
-    p = P.p
+    fld, p = P.residue_field, P.p
     for c in x.coeffs:
         if c.denominator % p == 0:
             raise DenominatorNotInvertible(
                 f"denominator {c.denominator} not invertible mod {p}")
-    return reduce_coords([integer_coords(x)], P)[0]
+    coeffs, = reduce_coords(integer_coords(x), P)
+    return FqElem(fld, coeffs)
 
 
 def landau_sum(K, X):

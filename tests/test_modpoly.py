@@ -1,6 +1,10 @@
 """The multiply-mod-m kernel, powmod and divmod_ against a schoolbook
 reference: a plain product (_modpoly.mul) followed by long division written
-out here, and powers by right-to-left square and multiply on that product."""
+out here, and powers by right-to-left square and multiply on that product.
+
+The kernel packs residues into slots of whole 64-bit words; WIDE holds
+primes whose slots take 2, 2 and 3 words, and degree 12 is the degree of
+the norm of D_T at the inert primes of Q(sqrt 5)."""
 
 import random
 
@@ -10,6 +14,8 @@ from rankforge import _modpoly
 from rankforge.primes import sieve
 
 PRIMES = [p for p in sieve(50000) if p > 2]
+SMALL = [3, 5, 7]
+WIDE = [10000000019, 1000000000000000003, 2 ** 89 - 1]
 
 
 def long_division(f, g, p):
@@ -60,17 +66,67 @@ def is_reduced(f, p):
     return all(0 <= c < p for c in f) and (not f or f[-1] != 0)
 
 
-@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("degree", range(1, 13))
 def test_mulmod_matches_reference(degree):
     rng = random.Random(degree)
-    for _ in range(200):
-        p = rng.choice(PRIMES)
+    for p in SMALL + WIDE + rng.sample(PRIMES, 20):
+        for _ in range(10):
+            m = rand_monic(rng, p, degree)
+            a = rand_poly(rng, p, rng.randint(0, degree))
+            b = rand_poly(rng, p, rng.randint(0, degree))
+            got = _modpoly.mulmod(a, b, m, p)
+            assert is_reduced(got, p)
+            assert got == ref_mulmod(a, b, m, p), (a, b, m, p)
+
+
+def test_wide_primes_take_two_and_three_words():
+    assert [_modpoly._slot_bits(12, p) // 64 for p in WIDE] == [2, 2, 3]
+    assert [_modpoly._slot_bits(1, p) // 64 for p in WIDE] == [2, 2, 3]
+    assert {_modpoly._slot_bits(12, p) for p in PRIMES} == {64}
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_powmod_matches_reference_up_to_degree_12(degree):
+    # bases x, general and constant; the exponents of Fermat, of Euler's
+    # criterion and of a random 100-bit power
+    rng = random.Random(300 + degree)
+    for p in SMALL + WIDE + rng.sample(PRIMES, 3):
         m = rand_monic(rng, p, degree)
-        a = rand_poly(rng, p, rng.randint(0, degree))
-        b = rand_poly(rng, p, rng.randint(0, degree))
-        got = _modpoly.mulmod(a, b, m, p)
-        assert is_reduced(got, p)
-        assert got == ref_mulmod(a, b, m, p)
+        general = rand_poly(rng, p, degree) or [1]
+        for f in ([0, 1], general, [rng.randrange(1, p)]):
+            for e in (0, 1, 2, p ** degree - 1, (p - 1) // 2,
+                      rng.randrange(10 ** 30)):
+                got = _modpoly.powmod(f, e, m, p)
+                assert is_reduced(got, p)
+                assert got == ref_powmod(f, e, m, p), (f, e, m, p)
+
+
+def test_slots_one_word_narrower_fail(monkeypatch):
+    # the slot width is what keeps the products exact: one word less and
+    # every product at a wide prime comes out wrong
+    width = _modpoly._slot_bits
+    monkeypatch.setattr(_modpoly, "_slot_bits", lambda d, p: width(d, p) - 64)
+    rng = random.Random(12)
+    for p in WIDE:
+        for degree in (1, 6, 12):
+            m = rand_monic(rng, p, degree)
+            a = [rng.randrange(p // 2, p) for _ in range(degree)]
+            assert _modpoly.mulmod(a, a, m, p) != ref_mulmod(a, a, m, p)
+            assert _modpoly.powmod([0, 1], p, m, p) != ref_powmod([0, 1], p, m, p)
+
+
+def test_large_slots_at_the_one_word_edge():
+    # 12 p^2 fits one word but 2 * 12 p^2 does not. With the operands and
+    # -m mod p in the top eighth of F_p, a middle slot of the product plus
+    # its eleven folds overflows 64 bits, so it needs the second word
+    p, degree = 1200000041, 12
+    assert 12 * p * p < 2 ** 64 < 23 * (p - 1) ** 2
+    rng = random.Random(degree)
+    for _ in range(20):
+        m = [rng.randrange(1, p // 8) for _ in range(degree)] + [1]
+        a = [rng.randrange(p - p // 8, p) for _ in range(degree)]
+        assert _modpoly.mulmod(a, a, m, p) == ref_mulmod(a, a, m, p)
+        assert _modpoly.powmod(a, 3, m, p) == ref_powmod(a, 3, m, p)
 
 
 def test_mulmod_edge_operands():

@@ -20,7 +20,7 @@ from rankforge import (
 )
 from rankforge.errors import BadPrime, InvalidArgument, RankforgeError
 from rankforge.family import reduce_family
-from rankforge.finite_field import FqField
+from rankforge.finite_field import FqElem, FqField
 from rankforge.nagao import _root_character_sum, curve_trace, default_checkpoints
 from conftest import ideal_above
 
@@ -84,7 +84,7 @@ def test_method_agreement_small_norms(fam_rat, fam_sqrt5, fam_cbrt2):
             if D_T is None:
                 continue
             fld = P.residue_field
-            roots = roots_in_fq(Poly(D_T), fld)
+            roots = roots_in_fq(Poly(map(fld.elem, D_T)), fld)
             expected = -fld.q * sum(fld.chi(r) for r in roots if r)
             assert -fld.q * _root_character_sum(D_T, fld) == expected, P.label()
             degrees.add((fam.K.n, P.f))
@@ -112,7 +112,8 @@ def test_root_character_sum_counts_squares_and_non_squares(p, modulus):
         if rng.random() < 0.3:
             f = f * Poly([rng.choice(elements[1:]), fld.one, fld.one])
         expected = sum(fld.chi(r) for r in roots_in_fq(f, fld) if r)
-        assert _root_character_sum(f.coeffs, fld) == expected, f
+        coeffs = [u.coeffs for u in f.coeffs]
+        assert _root_character_sum(coeffs, fld) == expected, f
 
 
 def test_sqrt5_inert_prime(fam_sqrt5):
@@ -271,6 +272,22 @@ def test_rank_path_builds_no_tables(fam_sqrt5, monkeypatch):
 
     monkeypatch.setattr(FqField, "tables", refuse)
     assert rank_estimate(fam_sqrt5, 2000).nearest_integer == 6
+
+
+def test_rank_path_over_q_builds_no_fq_elements(fam_rat, monkeypatch):
+    # r = 1 reduces and counts on plain ints from start to end
+    built = []
+    real = FqElem.__init__
+
+    def counted(self, field, coeffs):
+        built.append(coeffs)
+        real(self, field, coeffs)
+
+    monkeypatch.setattr(FqElem, "__init__", counted)
+    assert rank_estimate(fam_rat, 2000).nearest_integer == 6
+    assert len(built) == 0
+    FqField(5, (0, 1)).one  # the counter does count
+    assert len(built) == 1
 
 
 def test_normalization_identity(fam_rat):

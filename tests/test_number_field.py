@@ -10,7 +10,12 @@ from rankforge import (
     landau_sum,
     reduce_elem,
 )
-from rankforge.errors import DenominatorNotInvertible, NotKnownIrreducible, RankforgeError
+from rankforge.errors import (
+    DenominatorNotInvertible,
+    EvenCharacteristic,
+    NotKnownIrreducible,
+    RankforgeError,
+)
 from rankforge.finite_field import FqElem
 from rankforge.number_field import prime_ideals_above
 from rankforge.primes import sieve
@@ -63,6 +68,16 @@ def test_reduce_bad_denominator(K_gauss):
     P = ideal_above(K_gauss, 5, 25)
     with pytest.raises(DenominatorNotInvertible):
         reduce_elem(K_gauss.elem(Fraction(1, 5)), P)
+
+
+def test_no_residue_field_above_2(K_sqrt5):
+    # 2 is inert in Q(sqrt 5): F_4 has no quadratic character of odd q
+    P, = prime_ideals_above(K_sqrt5, 2)
+    assert P.norm == 4
+    with pytest.raises(EvenCharacteristic):
+        reduce_elem(K_sqrt5.theta(), P)
+    with pytest.raises(EvenCharacteristic):
+        P.residue_field
 
 
 def _reduce_by_horner(x, P):

@@ -13,6 +13,7 @@ from rankforge import (
     enumerate_prime_ideals,
 )
 from rankforge.family import ReducedFamily, _reduce
+from rankforge.number_field import reduce_coords, reduce_elem
 
 X = 2000
 REASONS = ("even residue characteristic", "denominator not invertible",
@@ -61,25 +62,22 @@ def _reference(fam, P):
     else:
         reason = None
     one = P.residue_field.one
-    return ReducedFamily(
-        reason, g=(c, b, a, one), h=(D, C, B, A - one)[:len(fam.h.coeffs)],
-        D_T=tuple(map(red, fam.D_T.coeffs)))
 
-
-def _plain(reduced):
-    """The fields of a ReducedFamily as coefficient tuples, with the field
-    of each element, so equality is exact down to the representation."""
     def coeffs(elems):
-        return None if elems is None else [(u.field, u.coeffs) for u in elems]
-    return reduced.reason, coeffs(reduced.g), coeffs(reduced.h), coeffs(reduced.D_T)
+        return tuple(u.coeffs for u in elems)
+    return ReducedFamily(
+        reason, g=coeffs((c, b, a, one)),
+        h=coeffs((D, C, B, A - one)[:len(fam.h.coeffs)]),
+        D_T=coeffs(map(red, fam.D_T.coeffs)))
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_reduce_matches_per_element_formula(name):
+    # tuples compare exactly: f coordinates per coefficient, each in [0, p)
     fam = FAMILIES[name]()
     ideals = enumerate_prime_ideals(fam.K, X)
     for P in ideals:
-        assert _plain(_reduce(fam, P)) == _plain(_reference(fam, P)), P.label()
+        assert _reduce(fam, P) == _reference(fam, P), P.label()
     if name == "cbrt2":
         assert {P.f for P in ideals} == {1, 2, 3}
 
@@ -90,3 +88,21 @@ def test_every_bad_reason_occurs():
                for P in enumerate_prime_ideals(fam.K, X)}
     for prefix in REASONS:
         assert any(r and r.startswith(prefix) for r in reasons), prefix
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_reduce_coords_matches_reduce_elem(name):
+    # the 21 elements over one common denominator, one inverse per ideal,
+    # against reduce_elem one element at a time
+    fam = FAMILIES[name]()
+    elems = (fam.spec.alpha, *fam.roots, fam.a, fam.b, fam.c, fam.A, fam.B,
+             fam.C, fam.D, *fam.D_T.coeffs)
+    assert len(elems) == len(fam.coords[0]) == 21
+    checked = 0
+    for P in enumerate_prime_ideals(fam.K, 400):
+        if P.p == 2 or fam.den_lcm % P.p == 0:
+            continue
+        got = reduce_coords(fam.coords, P)
+        assert got == [reduce_elem(x, P).coeffs for x in elems], P.label()
+        checked += 1
+    assert checked >= 60
