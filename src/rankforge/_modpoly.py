@@ -6,7 +6,7 @@ code so neither has to depend on the other.
 
 mulmod is the one multiply-mod-m kernel: powmod, and through it the
 factorization and irreducibility tests, FqElem multiplication and the
-A_p kernel's x^((q-1)/2) all run on it. Its modulus m must be monic, of
+A_p kernel's r^((q-1)/2) all run on it. Its modulus m must be monic, of
 degree d, and its operands reduced mod m. The kernel packs the residues
 into one int, slot i holding coefficient i in whole 64-bit words wide
 enough for 2 d p^2 (Kronecker substitution; Harvey 2009), so a product is

@@ -58,12 +58,11 @@ class CurveFamily:
     D_T: Poly
     roots: tuple  # r_i = rho_i^2
     bad_divisor: int
-    # integer_coords of alpha, r_1..r_6, a, b, c, A, B, C, D and the D_T
-    # coefficients over one common denominator, and the lcm of the
-    # coordinate denominators of alpha, rho_i and a..D; every element here
-    # is a polynomial in those with integer coefficients, so the primes of
-    # the common denominator divide den_lcm, and it reduces wherever
-    # den_lcm is prime to p
+    # integer_coords of alpha, r_1..r_6 and a, b, c, A, B, C, D over one
+    # common denominator, and the lcm of the coordinate denominators of
+    # alpha, rho_i and a..D; every element here is a polynomial in those
+    # with integer coefficients, so the primes of the common denominator
+    # divide den_lcm, and it reduces wherever den_lcm is prime to p
     coords: tuple
     den_lcm: int
 
@@ -116,7 +115,7 @@ def construct_family(spec):
         spec=spec, a=a, b=b, c=c, A=A, B=B, C=C, D=D,
         g=g, h=h, D_T=D_T, roots=roots,
         bad_divisor=_bad_divisor(spec, roots, coefficients),
-        coords=integer_coords(alpha, *roots, *coefficients, *D_T.coeffs),
+        coords=integer_coords(alpha, *roots, *coefficients),
         den_lcm=math.lcm(*(coord.denominator
                            for elem in (alpha, *spec.rho, *coefficients)
                            for coord in elem.coeffs)))
@@ -140,13 +139,15 @@ def _bad_divisor(spec, roots, coefficients):
 
 @dataclass(frozen=True)
 class ReducedFamily:
-    """Family data reduced at one prime ideal, each coefficient the tuple of
+    """Family data reduced at one prime ideal, each element the tuple of
     its f coordinates over F_p (FqElem.coeffs). reason is None at a good
-    prime; g, h and D_T are None where the data does not reduce at all."""
+    prime; g, h and roots are None where the data does not reduce at all.
+    roots holds the six r_i mod P; at a good prime they are the distinct
+    nonzero roots of D_T mod P, which reduces to A (x - r_1)...(x - r_6)."""
     reason: object  # str or None
     g: tuple = None
     h: tuple = None
-    D_T: tuple = None
+    roots: tuple = None
 
 
 _last_reduction = [None, None, None]  # fam, P, ReducedFamily
@@ -172,7 +173,7 @@ def _reduce(fam, P):
     if fam.den_lcm % P.p == 0:
         return ReducedFamily(f"denominator not invertible mod {P.p}")
     alpha_bar, *images = reduce_coords(fam.coords, P)
-    r_bars, (a, b, c, A, B, C, D), D_T = images[:6], images[6:13], images[13:]
+    r_bars, (a, b, c, A, B, C, D) = images[:6], images[6:]
     # reduction is a ring map into a field: r_i = rho_i^2 vanishes mod P
     # exactly when rho_i does
     if not any(alpha_bar):
@@ -189,7 +190,7 @@ def _reduce(fam, P):
         reason,
         g=(c, b, a, one),  # g = x^3 + a x^2 + b x + c never loses a term
         h=(D, C, B, A_minus_one)[:len(fam.h.coeffs)],
-        D_T=tuple(D_T))
+        roots=tuple(r_bars))
 
 
 def is_good_prime(fam, P):

@@ -3,14 +3,13 @@ partial sums whose limit is the generic rank.
 
 The direct method, O(q^2), is minus the sum over x of the brute-force
 t-sums of FqTables.t_sums, which the Legendre sweep checks. The analytic
-method collapses each t-sum in closed form and counts the square and
-non-square roots of D_T with two gcds against x^((q-1)/2), built by one
-packed powmod over F_p modulo the norm of D_T at every residue degree:
-O(log q) big-int products. It reads the reduced family as the coefficient
-tuples of ReducedFamily, so at residue degree 1 it runs on ints from start
-to end; FqElem arithmetic is left to the norm and the two gcds over F_q of
-r > 1. At good primes both methods give the average -6 exactly; curve_trace
-and trace_a_t are the FqElem reference path the tests check them against.
+method collapses each t-sum in closed form to minus q times the sum of chi
+over the roots of D_T mod P, which at a good P are the six prescribed
+r_i = rho_i^2 reduced: six Euler criteria, each one powmod modulo P.factor
+(the builtin pow at residue degree 1). It reads the coefficient tuples of
+ReducedFamily and builds no residue field. At good primes both methods
+give the average -6 exactly; curve_trace and trace_a_t are the FqElem
+reference path the tests check them against.
 """
 
 import math
@@ -21,7 +20,7 @@ from . import _modpoly
 from .errors import BadPrime, InvalidArgument, RankforgeError
 from .family import fiber_polynomial, is_good_prime, reduce_family
 from .number_field import enumerate_prime_ideals
-from .poly import Poly, gcd
+from .poly import Poly
 
 DIRECT_NORM_CAP = 1000  # O(q^2) work; analytic is the default beyond this
 
@@ -76,54 +75,22 @@ def average_A_p_direct(fam, P):
 
 def average_A_p_analytic(fam, P):
     """Average of a_t via the closed-form collapse of the t-sum: one powmod
-    and two gcds, O(log q) field operations.
+    per root, O(log q) products.
 
     For fixed x != 0 the t-sum is quadratic with leading coefficient x^3
     and discriminant 4 D_T(x), so it contributes (q-1)chi(x) at roots of
     D_T and -chi(x) elsewhere; the x = 0 column vanishes at good primes.
     chi sums to 0 over F_q^*, so sum_a_t = -q * (sum of chi over the roots).
+    At a good P those are the six reduced r_i, distinct and nonzero, and
+    chi(r) is Euler's criterion r^((q-1)/2) mod P.factor: 1 or -1.
     """
     reduced = _reduced(fam, P)
-    fld = P.residue_field
-    total = -fld.q * _root_character_sum(reduced.D_T, fld)
-    return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, fld.q),
+    q, p, m = P.norm, P.p, P.factor.coeffs
+    euler = [_modpoly.powmod(_modpoly.trim(list(r)), (q - 1) // 2, m, p)
+             for r in reduced.roots]
+    total = -q * sum(1 if u == [1] else -1 for u in euler)
+    return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, q),
                     method="analytic", good=True)
-
-
-def _root_character_sum(coeffs, fld):
-    """Sum of chi(r) over the distinct roots r != 0 of a polynomial f over
-    fld, given by the coefficient tuples of ReducedFamily.
-
-    With h = (q-1)/2, x^h - 1 and x^h + 1 are the squarefree products of
-    x - r over the nonzero squares and over the non-squares, so the sum is
-    deg gcd(f, x^h - 1) - deg gcd(f, x^h + 1) (Cohen, GTM 138, 3.4).
-
-    x^h is built by one powmod over F_p at every residue degree r, modulo
-    the norm N(f) = f f^s ... f^(s^(r-1)), s the p-th power map on the
-    coefficients (Trager 1976): N(f) lies in F_p[x] and f divides it, so
-    x^h mod N(f) has the same gcds with f as x^h itself. At r = 1, N(f) = f
-    and everything stays on ints; FqElem arithmetic is left to the norm and
-    the two gcds over F_q of r > 1.
-    """
-    p = fld.p
-    if fld.r == 1:
-        m = _modpoly.trim([c for c, in coeffs])
-    else:
-        f = Poly(map(fld.elem, coeffs))
-        norm = conj = f
-        for _ in range(fld.r - 1):
-            conj = Poly([c ** p for c in conj.coeffs])
-            norm = norm * conj
-        m = [c.coeffs[0] for c in norm.coeffs]
-    if len(m) < 2:
-        return 0
-    m = _modpoly.monic(m, p)
-    xh = _modpoly.powmod([0, 1], (fld.q - 1) // 2, m, p)
-    if fld.r == 1:
-        return (len(_modpoly.gcd(m, _modpoly.sub(xh, [1], p), p))
-                - len(_modpoly.gcd(m, _modpoly.add(xh, [1], p), p)))
-    xh, one = Poly(map(fld.elem, xh)), Poly([fld.one])
-    return gcd(f, xh - one).degree - gcd(f, xh + one).degree
 
 
 def check_direct_cap(norm):

@@ -14,6 +14,7 @@ the rank path keeps the tuples. No residue field is built above 2.
 """
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .finite_field import FqElem, FqField
 from .poly import Poly, discriminant, factor_mod_p, poly_to_str, resultant, xgcd
-from .primes import sieve
+from .primes import is_prime, sieve
 
 _CERTIFY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -59,16 +60,13 @@ class NumberField:
         if self.n == 1:
             return
         if self.n <= 3:
-            # a reducible monic quadratic/cubic has an integer root dividing
-            # the constant term
-            c0 = self.m[0]
-            if c0 == 0:
+            # a reducible monic quadratic/cubic has an integer root
+            if self.m[0] == 0:
                 raise RankforgeError("minimal polynomial has root 0")
-            for d in _divisors(abs(c0)):
-                for r in (d, -d):
-                    if self.m_poly(r) == 0:
-                        raise RankforgeError(
-                            f"minimal polynomial has rational root {r}")
+            roots = _integer_roots(self.m, self.disc_m)
+            if roots:
+                r = min(roots, key=lambda r: (abs(r), r < 0))
+                raise RankforgeError(f"minimal polynomial has rational root {r}")
             return
         for p in _CERTIFY_PRIMES:
             if self.disc_m % p == 0:
@@ -331,13 +329,29 @@ def landau_sum(K, X):
     return total, (total / X if X else 0.0), len(logs)
 
 
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _integer_roots(m, disc):
+    """The integer roots of a monic integer polynomial m with nonzero
+    discriminant disc, in time polynomial in the digits of m.
+
+    Mod the least prime p not dividing disc every root of m is simple, so
+    Newton's step lifts it to a unique root mod p^2, p^4, ... (Hensel).
+    Once the modulus passes twice the Cauchy bound 1 + max |m_i| on the
+    roots, an integer root can only be the symmetric residue of a lift.
+    """
+    f = Poly(m)
+    df = f.derivative()
+    bound = 1 + max(map(abs, m[:-1]))
+    p = next(p for p in itertools.count(2) if disc % p and is_prime(p))
+    roots = []
+    for r in range(p):
+        if f(r) % p:
+            continue
+        n = p
+        while n <= 2 * bound:
+            n *= n
+            r = (r - f(r) * pow(df(r), -1, n)) % n
+        if r > n // 2:
+            r -= n
+        if f(r) == 0:
+            roots.append(r)
+    return roots

@@ -105,12 +105,6 @@ class Poly:
     def derivative(self):
         return Poly([c * i for i, c in enumerate(self.coeffs)][1:])
 
-    def monic(self):
-        if self.is_zero:
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        lead = self.lc
-        return Poly([c / lead for c in self.coeffs])
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
@@ -119,15 +113,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
-
-
-def gcd(f, g):
-    """Monic gcd over a field domain."""
-    while not g.is_zero:
-        f, g = g, f % g
-    if f.is_zero:
-        return f
-    return f.monic()
 
 
 def xgcd(f, g):

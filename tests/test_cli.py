@@ -271,9 +271,9 @@ def _without(key):
     return {k: v for k, v in FAMILY_Q.items() if k != key}
 
 
-# (family spec, extra CLI arguments); the family spec goes to
-# --family, or --spec for "family construct"; {tmp} in an argument is a
-# fresh empty directory
+# (family spec, extra CLI arguments); the family spec, as JSON or as raw
+# text, goes to --family, or --spec for "family construct"; {tmp} in an
+# argument is a fresh empty directory
 MALFORMED = {
     "checkpoint above max-norm": (
         FAMILY_Q, ["nagao", "series", "--max-norm", "100",
@@ -310,6 +310,9 @@ MALFORMED = {
         {**FAMILY_Q, "field": {"min_poly": "0,2"}}, ["rank", "--max-norm", "100"]),
     "min_poly with a rational root": (
         {**FAMILY_Q, "field": {"min_poly": "-4,0,1"}},
+        ["rank", "--max-norm", "100"]),
+    "min_poly with a huge rational root": (
+        {**FAMILY_Q, "field": {"min_poly": f"{-2 ** 61},1,{-2 ** 61},1"}},
         ["rank", "--max-norm", "100"]),
     "min_poly not squarefree": (
         {**FAMILY_Q, "field": {"min_poly": "1,2,1"}},
@@ -352,6 +355,7 @@ MALFORMED = {
         ["nagao", "ap", "--p", "37", "--method", "direct"]),
     "badprimes max-p negative": (
         FAMILY_Q, ["family", "badprimes", "--max-p", "-5"]),
+    "family not JSON": ('{"field":', ["rank", "--max-norm", "10"]),
     "family is a directory": (
         None, ["rank", "--family", "{tmp}", "--max-norm", "10"]),
     "legendre out in a missing directory": (
@@ -398,7 +402,7 @@ def test_malformed_input_exits_2(runner, tmp_path, field_file, case):
         args = args + ["--field", field_file]
     elif spec is not None:
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         flag = "--spec" if args[:2] == ["family", "construct"] else "--family"
         args = args + [flag, str(path)]
     res = runner.invoke(main, args)

@@ -19,9 +19,10 @@ from rankforge import (
     trace_a_t,
 )
 from rankforge.errors import BadPrime, InvalidArgument, RankforgeError
-from rankforge.family import reduce_family
+from rankforge.family import ReducedFamily
 from rankforge.finite_field import FqElem, FqField
-from rankforge.nagao import _root_character_sum, curve_trace, default_checkpoints
+from rankforge.nagao import curve_trace, default_checkpoints
+from rankforge.number_field import PrimeIdeal, reduce_elem
 from conftest import ideal_above
 
 
@@ -75,45 +76,51 @@ def test_method_agreement_small_norms(fam_rat, fam_sqrt5, fam_cbrt2):
             a = average_A_p_analytic(fam, P)
             assert d.sum_a_t == a.sum_a_t
             assert d.A_p == a.A_p == -6
-    # the gcd count against an O(q) root scan, bad ideals included wherever
-    # D_T reduces: inert ideals of Q(sqrt 5), f = 1, 2, 3 over Q(cbrt 2)
+    # the six prescribed roots against an O(q) root scan of D_T mod P,
+    # reduced here element by element: inert ideals of Q(sqrt 5), f = 1, 2,
+    # 3 over Q(cbrt 2)
     degrees = set()
     for fam in (fam_rat, fam_sqrt5, fam_cbrt2):
         for P in enumerate_prime_ideals(fam.K, 400):
-            D_T = reduce_family(fam, P).D_T
-            if D_T is None:
+            if not is_good_prime(fam, P)[0]:
                 continue
             fld = P.residue_field
-            roots = roots_in_fq(Poly(map(fld.elem, D_T)), fld)
-            expected = -fld.q * sum(fld.chi(r) for r in roots if r)
-            assert -fld.q * _root_character_sum(D_T, fld) == expected, P.label()
+            D_T = Poly(reduce_elem(c, P) for c in fam.D_T.coeffs)
+            roots = roots_in_fq(D_T, fld)
+            expected = -fld.q * sum(fld.chi(r) for r in roots)
+            assert average_A_p_analytic(fam, P).sum_a_t == expected, P.label()
             degrees.add((fam.K.n, P.f))
-    assert {(2, 2), (3, 2), (3, 3)} <= degrees
+    assert {(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)} <= degrees
 
 
 @pytest.mark.parametrize("p, modulus", [
     (3, [0, 1]), (7, [0, 1]), (13, [0, 1]), (3, [1, 0, 1]), (5, [2, 0, 1]),
     (3, [1, 2, 0, 1]), (3, [2, 1, 0, 0, 1]), (3, [1, 2, 0, 0, 0, 1])],
     ids=["3", "7", "13", "9", "25", "27", "81", "243"])
-def test_root_character_sum_counts_squares_and_non_squares(p, modulus):
-    # family D_T has only square roots; random polynomials have both kinds,
-    # repeated roots, roots at 0 and, every tenth, a factor (x - a)^p, on
-    # which f' vanishes
+def test_root_character_sum_counts_squares_and_non_squares(
+        p, modulus, monkeypatch):
+    # the analytic kernel on random sets of six distinct nonzero roots, up
+    # to residue degree 5, against chi over the roots that an O(q) scan
+    # finds in c (x - r_1)...(x - r_6)
+    from rankforge import nagao
+
     fld = make_field(p, modulus)
+    P = PrimeIdeal(p=p, factor=Poly(modulus), f=len(modulus) - 1, e=1,
+                   norm=fld.q)
     rng = random.Random(p ** len(modulus))
-    elements = fld.elements()
-    for i in range(60):
-        roots = rng.choices(elements, k=rng.randrange(7))
-        if i % 10 == 0:
-            roots += [rng.choice(elements)] * p
-        f = Poly([rng.choice(elements[1:])])
+    nonzero = fld.elements()[1:]
+    signs = set()
+    for _ in range(60):
+        roots = rng.sample(nonzero, 6) if len(nonzero) >= 6 else nonzero
+        f = Poly([rng.choice(nonzero)])
         for r in roots:
             f = f * Poly([-r, fld.one])
-        if rng.random() < 0.3:
-            f = f * Poly([rng.choice(elements[1:]), fld.one, fld.one])
-        expected = sum(fld.chi(r) for r in roots_in_fq(f, fld) if r)
-        coeffs = [u.coeffs for u in f.coeffs]
-        assert _root_character_sum(coeffs, fld) == expected, f
+        reduced = ReducedFamily(None, roots=tuple(r.coeffs for r in roots))
+        monkeypatch.setattr(nagao, "_reduced", lambda fam, P: reduced)
+        chi_sum = sum(fld.chi(r) for r in roots_in_fq(f, fld))
+        assert average_A_p_analytic(None, P).sum_a_t == -fld.q * chi_sum, f
+        signs |= {fld.chi(r) for r in roots}
+    assert signs == {1, -1}
 
 
 def test_sqrt5_inert_prime(fam_sqrt5):
@@ -136,15 +143,15 @@ def test_residue_degree_three(fam_cbrt2):
         assert d.A_p == a.A_p == -6
 
 
-def test_one_powmod_of_x_per_ideal(fam_cbrt2, monkeypatch):
-    # every residue degree builds x^((q-1)/2) with the one F_p powmod,
-    # modulo the norm of D_T: degree 6 f at an ideal of degree f
+def test_six_euler_powmods_per_ideal(fam_cbrt2, monkeypatch):
+    # every residue degree takes chi of the six reduced roots by Euler's
+    # criterion: one powmod each, modulo P.factor, none of them of x
     from rankforge import _modpoly, nagao
 
     calls = []
 
     def powmod_counted(f, e, m, p):
-        calls.append((f, e, len(m) - 1))
+        calls.append((f, e, tuple(m)))
         return _modpoly.powmod(f, e, m, p)
 
     monkeypatch.setattr(nagao, "_modpoly", types.SimpleNamespace(
@@ -155,7 +162,10 @@ def test_one_powmod_of_x_per_ideal(fam_cbrt2, monkeypatch):
             continue
         calls.clear()
         assert average_A_p_analytic(fam_cbrt2, P).A_p == -6
-        assert calls == [([0, 1], (P.norm - 1) // 2, 6 * P.f)], P.label()
+        assert len(calls) == 6, P.label()
+        for f, e, m in calls:
+            assert (e, m) == ((P.norm - 1) // 2, P.factor.coeffs), P.label()
+            assert f != [0, 1] and len(f) <= P.f, P.label()
         degrees.add(P.f)
     assert degrees == {1, 2, 3}
 
@@ -274,20 +284,28 @@ def test_rank_path_builds_no_tables(fam_sqrt5, monkeypatch):
     assert rank_estimate(fam_sqrt5, 2000).nearest_integer == 6
 
 
-def test_rank_path_over_q_builds_no_fq_elements(fam_rat, monkeypatch):
-    # r = 1 reduces and counts on plain ints from start to end
+def test_rank_path_over_q_builds_no_fq_elements(fam_rat, fam_sqrt5, fam_cbrt2,
+                                                monkeypatch):
+    # every residue degree reduces and counts on plain ints from start to
+    # end, over Q and over the quadratic and cubic fields alike
     built = []
-    real = FqElem.__init__
+    real_elem, real_field = FqElem.__init__, FqField.__init__
 
-    def counted(self, field, coeffs):
+    def elem_counted(self, field, coeffs):
         built.append(coeffs)
-        real(self, field, coeffs)
+        real_elem(self, field, coeffs)
 
-    monkeypatch.setattr(FqElem, "__init__", counted)
-    assert rank_estimate(fam_rat, 2000).nearest_integer == 6
+    def field_counted(self, *args, **kwargs):
+        built.append(args)
+        real_field(self, *args, **kwargs)
+
+    monkeypatch.setattr(FqElem, "__init__", elem_counted)
+    monkeypatch.setattr(FqField, "__init__", field_counted)
+    for fam in (fam_rat, fam_sqrt5, fam_cbrt2):
+        assert rank_estimate(fam, 2000).nearest_integer == 6
     assert len(built) == 0
-    FqField(5, (0, 1)).one  # the counter does count
-    assert len(built) == 1
+    FqField(5, (0, 1)).one  # the counters do count
+    assert len(built) == 2
 
 
 def test_normalization_identity(fam_rat):

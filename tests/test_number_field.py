@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,23 @@ def test_reducible_min_poly_rejected():
         NumberField([-1, 0, 1])  # (x-1)(x+1)
     with pytest.raises(RankforgeError):
         NumberField([1, 2, 1])  # not squarefree
+    # the root of least |r| is named, positive first; (x - r)(x^2 + 1) with
+    # r = 2^61, and with r = -+5000 near the Cauchy bound 5001, above half
+    # of 3^8, the first power of the lifting prime 3 past that bound
+    for min_poly, r in [([-4, 0, 1], 2), ([-15, -2, 1], -3)] + [
+            ([-r, 1, -r, 1], r) for r in (2 ** 61, 5000, -5000)]:
+        with pytest.raises(RankforgeError, match=f"rational root {r}$"):
+            NumberField(min_poly)
+
+
+@pytest.mark.parametrize("min_poly", [
+    [-2 ** 101, 0, 1], [-2 ** 101, 0, 0, 1]], ids=["quadratic", "cubic"])
+def test_irreducibility_of_huge_constant_term_in_bounded_time(min_poly):
+    # trial division of |c_0| = 2^101 would take years; the Hensel-lifted
+    # root test grows with the digits
+    start = time.perf_counter()
+    assert NumberField(min_poly).n == len(min_poly) - 1
+    assert time.perf_counter() - start < 1
 
 
 def test_degree4_irreducibility_certificate():

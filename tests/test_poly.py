@@ -14,7 +14,6 @@ from rankforge.errors import (
 from rankforge.poly import (
     discriminant,
     fraction_from_str,
-    gcd,
     poly_from_str,
     poly_to_str,
     resultant,
@@ -26,10 +25,6 @@ F = Fraction
 
 def qpoly(*coeffs):
     return Poly([F(c) for c in coeffs])
-
-
-def test_gcd_over_q():
-    assert gcd(qpoly(-1, 0, 1), qpoly(1, -2, 1)) == qpoly(-1, 1)
 
 
 def test_eval_mod_5():

@@ -53,11 +53,12 @@ def _reference(fam, P):
         return ReducedFamily(f"denominator not invertible mod {p}")
     alpha, *rho = map(red, data[:7])
     a, b, c, A, B, C, D = map(red, data[7:])
+    roots = [r * r for r in rho]
     if not alpha:
         reason = f"alpha vanishes mod {p}"
     elif not all(rho):
         reason = f"a root vanishes mod {p}"
-    elif len({r * r for r in rho}) < 6:
+    elif len(set(roots)) < 6:
         reason = f"repeated roots mod {p}"
     else:
         reason = None
@@ -68,7 +69,7 @@ def _reference(fam, P):
     return ReducedFamily(
         reason, g=coeffs((c, b, a, one)),
         h=coeffs((D, C, B, A - one)[:len(fam.h.coeffs)]),
-        D_T=coeffs(map(red, fam.D_T.coeffs)))
+        roots=coeffs(roots))
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -92,12 +93,12 @@ def test_every_bad_reason_occurs():
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_reduce_coords_matches_reduce_elem(name):
-    # the 21 elements over one common denominator, one inverse per ideal,
+    # the 14 elements over one common denominator, one inverse per ideal,
     # against reduce_elem one element at a time
     fam = FAMILIES[name]()
     elems = (fam.spec.alpha, *fam.roots, fam.a, fam.b, fam.c, fam.A, fam.B,
-             fam.C, fam.D, *fam.D_T.coeffs)
-    assert len(elems) == len(fam.coords[0]) == 21
+             fam.C, fam.D)
+    assert len(elems) == len(fam.coords[0]) == 14
     checked = 0
     for P in enumerate_prime_ideals(fam.K, 400):
         if P.p == 2 or fam.den_lcm % P.p == 0:
