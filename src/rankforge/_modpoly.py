@@ -16,6 +16,8 @@ top, each times the packed -m mod p, and every coefficient then takes one
 the multiply after a squaring is a one-slot shift of the square.
 """
 
+from .primes import PRIME_TEST_BOUND, is_prime
+
 
 def trim(f):
     while f and f[-1] == 0:
@@ -167,13 +169,20 @@ def deriv(f, p):
 
 
 def prime_divisors(n):
+    """The distinct primes dividing n, ascending, by trial division. The
+    cofactor is tested with is_prime whenever it changes, below the bound
+    where that test is deterministic, and the search stops once it is
+    prime, so a large prime factor costs no trial divisions up to its
+    square root."""
     out = []
     d = 2
-    while d * d <= n:
+    done = n < PRIME_TEST_BOUND and is_prime(n)
+    while not done and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            done = n < PRIME_TEST_BOUND and is_prime(n)
         d += 1
     if n > 1:
         out.append(n)

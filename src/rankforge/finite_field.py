@@ -6,9 +6,12 @@ modulus; the prime-field case r = 1 goes through the same code path.
 FqElem with chi(u) (squares table) and quadratic_character (Euler's
 criterion) is the simple reference path. FqField.tables() codes elements as
 ints with O(q) log/antilog tables (Lidl-Niederreiter, Finite Fields, ch. 9)
-for FqTables.t_sums, the one brute-force t-sum of chi(a t^2 + b t + c): the
-Legendre sweep checks the closed form against it, and the direct A_p method
-in nagao is minus its sum over x. The analytic A_p method needs no tables.
+for the two brute-force kernels of the t-sum of chi(a t^2 + b t + c), both
+summing chi over every t: FqTables.t_sums, O(q) per triple, which the
+random Legendre sweep and the direct A_p method in nagao (minus its sum
+over x) use, and FqTables.row_sums, all q values of c of one (a, b) at
+once from a packed chi, which the exhaustive Legendre sweep uses. The
+analytic A_p method needs no tables.
 """
 
 import itertools
@@ -97,8 +100,9 @@ class FqField:
 
     def tables(self):
         """Integer-coded arithmetic of this field in O(q) for fixed r, built
-        afresh on every call (never cached), for t_sums and its callers:
-        nagao's direct A_p method, capped at norm 1000, and the Legendre sweep.
+        afresh on every call (never cached), for the t-sum kernels and their
+        callers: t_sums for nagao's direct A_p method, capped at norm 1000,
+        and the random Legendre sweep; row_sums for the exhaustive sweep.
 
         Coefficients c_0..c_{r-1} give the code sum c_i (2p-1)^i, so adding
         two codes never carries: red[a + b] is the code of the sum, and log
@@ -166,16 +170,43 @@ class FqTables(NamedTuple):
         sign = [1, -1] * (self.log[0] // 2) + [0]
         return list(map(sign.__getitem__, self.log))
 
+    def _t_logs(self):
+        """(log t^2, log t) for every t in F_q, t = 0 as the sentinel pair."""
+        log, exp = self.log, self.exp
+        return [(log[exp[lt + lt]], lt) for lt in map(log.__getitem__, self.codes)]
+
     def t_sums(self, triples):
         """Per (log a, log b, code c): sum over t in F_q of chi(a t^2 + b t + c),
         O(q) each; a or b = 0 is the log 0 sentinel, whose sums read 0 from exp."""
-        red, log, exp, chi = self.red, self.log, self.exp, self.chi()
-        t_logs = [(log[exp[lt + lt]], lt) for lt in map(log.__getitem__, self.codes)]
+        red, exp, chi, t_logs = self.red, self.exp, self.chi(), self._t_logs()
         for la, lb, c in triples:
             s = 0
             for ltt, lt in t_logs:
                 s += chi[red[exp[la + ltt] + exp[lb + lt]] + c]
             yield s
+
+    def row_sums(self, rows):
+        """Per (log a, log b): the t-sums of chi(a t^2 + b t + c) for every c,
+        in the order of codes, all from one packed chi (Kronecker packing).
+
+        Slot s of one int holds chi[s] + 1 in whole bytes wide enough for
+        2q + 1. Shifted down by the code v_t of a t^2 + b t, the int holds
+        chi(v_t + c) + 1 in slot c, so the sum of the q shifted ints holds
+        sum_t chi(v_t + c) + q there: q big-int shift-adds per row instead
+        of q^2 table reads, every t still enumerated."""
+        red, exp, codes, t_logs = self.red, self.exp, self.codes, self._t_logs()
+        q = len(codes)
+        width = -(-(2 * q + 1).bit_length() // 8)
+        bits = 8 * width
+        mask = (1 << bits) - 1
+        packed = int.from_bytes(b"".join(
+            (x + 1).to_bytes(width, "little") for x in self.chi()), "little")
+        shifts = [c * bits for c in codes]
+        for la, lb in rows:
+            total = 0
+            for ltt, lt in t_logs:
+                total += packed >> bits * red[exp[la + ltt] + exp[lb + lt]]
+            yield [(total >> s & mask) - q for s in shifts]
 
 
 class FqElem:

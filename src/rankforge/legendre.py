@@ -4,11 +4,13 @@ For a != 0 the t-sum of chi(a t^2 + b t + c) collapses to (q-1)chi(a) when
 the discriminant vanishes and -chi(a) otherwise; quad_sum_brute is the
 independent enumeration oracle, conic_count the point count on
 s^2 = a t^2 + b t + c. These work on FqElem and are the reference path.
-verify_quad_sums checks the closed form in bulk against FqTables.t_sums,
-the brute-force t-sum that the direct A_p method in nagao adds up over x.
+verify_quad_sums checks the closed form and the conic bound in bulk
+against brute-force t-sums over every t: FqTables.row_sums gives the q
+sums of each (a, b) row of an exhaustive field at once, and
+FqTables.t_sums, the kernel the direct A_p method in nagao adds up over x,
+gives those of the random triples one at a time.
 """
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -94,16 +96,34 @@ def standard_field(p, r):
     return FqField(p, find_irreducible(p, r))
 
 
-def _sweep(fld, triples):
-    """Closed form and conic bound against FqTables.t_sums over F_q."""
-    q = fld.q
-    codes, _, log, exp = tables = fld.tables()
+def _exhaustive_sums(tables):
+    """Every (a, b, c) with a != 0, a row of q sums per (a, b) from
+    FqTables.row_sums, as ((log a, log b, code c), t-sum) pairs."""
+    codes, _, log, _ = tables
+    rows = [(log[a], log[b]) for a in codes[1:] for b in codes]
+    for (la, lb), sums in zip(rows, tables.row_sums(rows)):
+        yield from zip(((la, lb, c) for c in codes), sums)
+
+
+def _random_sums(tables, rng):
+    """RANDOM_TRIPLES seeded triples with a != 0, one FqTables.t_sums each,
+    as ((log a, log b, code c), t-sum) pairs."""
+    codes, _, log, _ = tables
+    q = len(codes)
+    coded = [(log[codes[rng.randrange(1, q)]], log[codes[rng.randrange(q)]],
+              codes[rng.randrange(q)]) for _ in range(RANDOM_TRIPLES)]
+    return zip(coded, tables.t_sums(coded))
+
+
+def _sweep(tables, p, sums):
+    """Closed form and conic bound on ((log a, log b, code c), t-sum) pairs
+    over F_q, q = len(tables.codes)."""
+    codes, _, log, exp = tables
+    q = len(codes)
     chi = tables.chi()
-    four = log[codes[4 % fld.p]]  # constants embed along the prime subfield
-    coded, kernel = itertools.tee(
-        (log[codes[a]], log[codes[b]], codes[c]) for a, b, c in triples)
+    four = log[codes[4 % p]]  # constants embed along the prime subfield
     mism = viol = checked = 0
-    for (la, lb, c), s in zip(coded, tables.t_sums(kernel)):
+    for (la, lb, c), s in sums:
         degenerate = exp[lb + lb] == exp[four + log[exp[la + log[c]]]]
         chi_a = chi[exp[la]]
         if s != ((q - 1) * chi_a if degenerate else -chi_a):
@@ -125,13 +145,12 @@ def verify_quad_sums(max_q=343, exhaustive_max_q=49, seed=0):
     results = []
     for q, p, r in odd_prime_powers(max_q):
         exhaustive = q <= exhaustive_max_q
+        tables = standard_field(p, r).tables()
         if exhaustive:
-            triples = itertools.product(range(1, q), range(q), range(q))
+            sums = _exhaustive_sums(tables)
         else:
-            rng = random.Random(seed * 1000003 + q)
-            triples = ((rng.randrange(1, q), rng.randrange(q), rng.randrange(q))
-                       for _ in range(RANDOM_TRIPLES))
-        checked, mism, viol = _sweep(standard_field(p, r), triples)
+            sums = _random_sums(tables, random.Random(seed * 1000003 + q))
+        checked, mism, viol = _sweep(tables, p, sums)
         results.append(SweepResult(
             q=q, p=p, r=r,
             mode="exhaustive" if exhaustive else "random",

@@ -2,7 +2,8 @@
 partial sums whose limit is the generic rank.
 
 The direct method, O(q^2), is minus the sum over x of the brute-force
-t-sums of FqTables.t_sums, which the Legendre sweep checks. The analytic
+t-sums of FqTables.t_sums, which the random Legendre sweep checks (the
+exhaustive sweep checks FqTables.row_sums, pinned to t_sums). The analytic
 method collapses each t-sum in closed form to minus q times the sum of chi
 over the roots of D_T mod P, which at a good P are the six prescribed
 r_i = rho_i^2 reduced: six Euler criteria, each one powmod modulo P.factor

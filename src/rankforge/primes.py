@@ -1,13 +1,18 @@
 """Rational prime utilities: primality, sieving, square roots mod p."""
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set, valid for all n < PRIME_TEST_BOUND:
+# the least strong pseudoprime to the first 13 prime bases is
+# 3317044064679887385961981 (Sorenson and Webster 2015); the first 12 alone
+# pass 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 33 * 10 ** 23
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n):
-    """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
+    """Primality test: Miller-Rabin with fixed witnesses, deterministic
+    for n < PRIME_TEST_BOUND."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

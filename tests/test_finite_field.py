@@ -217,3 +217,29 @@ def test_t_sums_match_the_fqelem_oracle_on_every_triple(p, r):
     for (a, b, c), s in zip(triples, sums, strict=True):
         inp = QuadSumInput(elems[a], elems[b], elems[c])
         assert s == quad_sum_brute(inp), (a, b, c)
+
+
+@pytest.mark.parametrize("p, r", [(3, 1), (3, 2), (5, 2), (3, 3)],
+                         ids=["3", "9", "25", "27"])
+def test_row_sums_match_t_sums_on_every_triple(p, r):
+    # t_sums is pinned to the FqElem oracle above; a = 0 and b = 0 are the
+    # log 0 sentinel, read from exp like every other log
+    t = standard_field(p, r).tables()
+    rows = [(t.log[a], t.log[b]) for a in t.codes for b in t.codes]
+    got = list(t.row_sums(rows))
+    assert all(len(sums) == p ** r for sums in got)
+    triples = [(la, lb, c) for la, lb in rows for c in t.codes]
+    assert [s for sums in got for s in sums] == list(t.t_sums(triples))
+
+
+@pytest.mark.parametrize("p", [127, 131])
+def test_row_sums_match_t_sums_at_the_slot_width_edge(p):
+    # a = 1 is a square, so its row holds the degenerate c = b^2/4, whose
+    # slot reads (q - 1) + q: 253 fits the 8-bit slots of q = 127, while
+    # 261 needs the 16-bit slots of q = 131; a = g (log 1) is a nonsquare
+    t = standard_field(p, 1).tables()
+    rows = [(t.log[t.codes[1]], t.log[t.codes[2]]), (1, t.log[0])]
+    got = list(t.row_sums(rows))
+    assert max(got[0]) == p - 1
+    for (la, lb), sums in zip(rows, got, strict=True):
+        assert sums == list(t.t_sums((la, lb, c) for c in t.codes))

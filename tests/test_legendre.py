@@ -109,3 +109,14 @@ def test_sweep_reports_a_broken_character(broken_chi):
     assert [r.q for r in results] == [3, 5, 7, 9]
     for r in results:
         assert r.mismatches > 0 and r.conic_violations > 0 and not r.ok
+
+
+def test_random_mode_reports_a_broken_character(broken_chi):
+    # random rows take their sums from FqTables.t_sums, exhaustive rows
+    # from FqTables.row_sums: both read the broken chi
+    results = verify_quad_sums(max_q=61, exhaustive_max_q=9, seed=1)
+    random_rows = [r for r in results if r.mode == "random"]
+    assert [r.q for r in random_rows] == [
+        11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53, 59, 61]
+    for r in results:
+        assert r.mismatches > 0 and r.conic_violations > 0 and not r.ok

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from rankforge import _modpoly
-from rankforge.primes import sieve
+from rankforge.primes import is_prime, sieve
 
 PRIMES = [p for p in sieve(50000) if p > 2]
 SMALL = [3, 5, 7]
@@ -220,3 +220,30 @@ def test_divmod_non_monic_divisor():
     assert _modpoly.divmod_([2, 0, 3], [1, 5], 7) == ([1, 2], [1])
     with pytest.raises(ZeroDivisionError):
         _modpoly.divmod_([1, 2], [], 7)
+
+
+def trial_division(n, primes):
+    """Distinct prime divisors of n by every prime up to sqrt(n), in order."""
+    out = []
+    for d in primes:
+        if d * d > n:
+            break
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+    return out + [n] if n > 1 else out
+
+
+def test_prime_divisors_match_trial_division():
+    primes = sieve(10 ** 6)
+    rng = random.Random(14)
+    seeded = [rng.randrange(1, 10 ** 12) for _ in range(500)]
+    for n in list(range(1, 20001)) + seeded:
+        assert _modpoly.prime_divisors(n) == trial_division(n, primes), n
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_the_first_12_bases():
+    # 2, 3, ..., 37 all pass this composite; 41 catches it
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(400000000000129)

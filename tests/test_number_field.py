@@ -206,6 +206,15 @@ def test_irreducibility_of_huge_constant_term_in_bounded_time(min_poly):
     assert time.perf_counter() - start < 1
 
 
+def test_large_prime_discriminant_in_bounded_time():
+    # disc = 1 + 4 * 100000000000032 is prime: prime_divisors stops once
+    # its cofactor is prime instead of trial-dividing up to 2 * 10^7
+    start = time.perf_counter()
+    K = NumberField([-100000000000032, -1, 1])
+    assert time.perf_counter() - start < 0.05
+    assert K.excluded_primes == {400000000000129} == {K.disc_m}
+
+
 def test_degree4_irreducibility_certificate():
     # Phi_5 is irreducible mod 3 (3 generates (Z/5)^*)
     NumberField([1, 1, 1, 1, 1])
