@@ -16,6 +16,9 @@ top, each times the packed -m mod p, and every coefficient then takes one
 the multiply after a squaring is a one-slot shift of the square.
 """
 
+import itertools
+import math
+
 from .primes import PRIME_TEST_BOUND, is_prime
 
 
@@ -169,24 +172,66 @@ def deriv(f, p):
 
 
 def prime_divisors(n):
-    """The distinct primes dividing n, ascending, by trial division. The
-    cofactor is tested with is_prime whenever it changes, below the bound
-    where that test is deterministic, and the search stops once it is
-    prime, so a large prime factor costs no trial divisions up to its
-    square root."""
-    out = []
+    """The distinct primes dividing n, ascending.
+
+    Trial division runs only while the cofactor is at or above
+    PRIME_TEST_BOUND, where is_prime is not deterministic. Below it a
+    composite cofactor is split by Pollard-Brent rho and each part tested
+    with is_prime. Rho finds the least prime factor q of a part in about
+    sqrt(q) steps, where trial division took as many steps as the
+    second-largest prime factor of n.
+    """
+    out = set()
     d = 2
-    done = n < PRIME_TEST_BOUND and is_prime(n)
-    while not done and d * d <= n:
+    while n >= PRIME_TEST_BOUND and d * d <= n:
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
-            done = n < PRIME_TEST_BOUND and is_prime(n)
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n]
+    while parts:
+        k = parts.pop()
+        if k <= 1:
+            continue
+        # k >= PRIME_TEST_BOUND only if no d <= sqrt(k) divides it
+        if k >= PRIME_TEST_BOUND or is_prime(k):
+            out.add(k)
+        else:
+            g = _rho_divisor(k)
+            parts += [g, k // g]
+    return sorted(out)
+
+
+def _rho_divisor(n):
+    """A proper divisor of a composite n: 2 for even n, else Pollard's rho
+    in Brent's form, y -> y^2 + c mod n from y = 2, with c = 1, 2, ...
+    until one splits n. The |x - y| are multiplied 128 at a time before a
+    gcd; a batch whose gcd is n is walked again one step at a time."""
+    if n % 2 == 0:
+        return 2
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def is_irreducible(f, p):

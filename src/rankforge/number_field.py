@@ -4,6 +4,13 @@ O_K is approximated by the order Z[theta]: factoring the minimal polynomial
 mod p (Dedekind) gives the primes of O_K for every p outside the excluded
 set, which defaults to the primes dividing disc(m).
 
+Enumeration up to a norm bound X factors only what can have norm <= X: the
+squarefree split runs only at p | disc(m), the distinct-degree split stops
+at the first degree i with p^i > X (so for p > sqrt(X) it is one power
+x^p mod m and one gcd), and only the products it keeps are split into
+irreducibles. landau_sum counts the norms from those products and builds no
+ideals. prime_ideals_above(K, p) still factors m mod p completely.
+
 Reduction mod P is one integer linear map on ints: a batch of elements is
 written as integer coordinates over one common denominator d
 (integer_coords), and the image of each in O_K/P = F_p[x]/(P.factor) is the
@@ -28,7 +35,18 @@ from .errors import (
     RankforgeError,
 )
 from .finite_field import FqElem, FqField
-from .poly import Poly, discriminant, factor_mod_p, poly_to_str, resultant, xgcd
+from .poly import (
+    Poly,
+    _ddf,
+    _edf,
+    _factor_quadratic,
+    _sff,
+    discriminant,
+    factor_mod_p,
+    poly_to_str,
+    resultant,
+    xgcd,
+)
 from .primes import is_prime, sieve
 
 _CERTIFY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -251,11 +269,45 @@ def prime_ideals_above(K, p):
             for fac, e in factors]
 
 
+def _split_bounded(K, X):
+    """(p, product, d, e) for every non-excluded p <= X and every product
+    of the distinct irreducible factors of m mod p that have degree d,
+    multiplicity e and norm p^d <= X; no factor of larger norm is split
+    out.
+
+    Degree 1, degree 2 (the quadratic formula) and p = 2 give irreducible
+    factors at once. Above that, m mod p is squarefree unless p | disc(m),
+    which only a user-supplied excluded_primes lets through, so only then
+    does the squarefree split run; _ddf stops at the first degree i with
+    p^i > X.
+    """
+    for p in sieve(X):
+        if p in K.excluded_primes:
+            continue
+        f = [c % p for c in K.m]
+        if K.n == 1:
+            parts = [([0, 1], 1, 1)]
+        elif p == 2:
+            parts = [(list(g.coeffs), g.degree, e)
+                     for g, e in _factor_mod_two(K.m)]
+        elif K.n == 2:
+            parts = [(g, len(g) - 1, e) for g, e in _factor_quadratic(f, p)]
+        else:
+            squarefree = _sff(f, p) if K.disc_m % p == 0 else [(f, 1)]
+            parts = [(prod, d, e) for sf, e in squarefree
+                     for prod, d in _ddf(sf, p, X)]
+        for prod, d, e in parts:
+            if p ** d <= X:
+                yield p, prod, d, e
+
+
 def enumerate_prime_ideals(K, X):
     """All primes of norm <= X, sorted by (norm, p, factor); excluded
-    rational primes are skipped."""
-    ideals = [P for p in sieve(X) if p not in K.excluded_primes
-              for P in prime_ideals_above(K, p) if P.norm <= X]
+    rational primes are skipped. Only the factors of m mod p that can have
+    norm <= X are split into irreducibles (_edf)."""
+    ideals = [PrimeIdeal(p=p, factor=Poly(g), f=d, e=e, norm=p ** d)
+              for p, prod, d, e in _split_bounded(K, X)
+              for g in _edf(prod, d, p)]
     ideals.sort(key=PrimeIdeal.sort_key)
     return ideals
 
@@ -322,9 +374,14 @@ def reduce_elem(x, P):
 def landau_sum(K, X):
     """(sum of log N(P) over norms <= X, sum/X, ideal count).
 
-    math.fsum rounds the sum once; everything upstream is exact.
+    Builds no ideals: a product of degree k of the irreducible factors of
+    degree d above p stands for k/d primes of norm p^d, each adding
+    math.log(p ** d) (not d * math.log(p), which rounds differently).
+    math.fsum rounds the sum once and does not depend on the order of its
+    terms; everything upstream is exact.
     """
-    logs = [math.log(P.norm) for P in enumerate_prime_ideals(K, X)]
+    logs = [math.log(p ** d) for p, prod, d, _ in _split_bounded(K, X)
+            for _ in range((len(prod) - 1) // d)]
     total = math.fsum(logs)
     return total, (total / X if X else 0.0), len(logs)
 

@@ -6,6 +6,7 @@ truthiness for zero-testing, and / for leading-coefficient inversion works
 plain int coefficient lists.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -224,13 +225,23 @@ def _sff(f, p):
     return out
 
 
-def _ddf(f, p):
-    """Distinct-degree split of squarefree monic f; yields (product, degree)."""
+def _ddf(f, p, max_norm=math.inf):
+    """Distinct-degree split of squarefree monic f: (product, degree) pairs,
+    the product of all irreducible factors of that degree, degree ascending.
+
+    Only the factors of degree i with p^i <= max_norm are returned: the
+    split stops before the first i with p^i > max_norm, since every factor
+    left then has degree >= i, and the irreducible leftover is kept only
+    when p^deg <= max_norm. For p > sqrt(max_norm) that is at most one
+    power x^p mod f and one gcd.
+    """
     out = []
     h = [0, 1]
     i = 1
     g = f
     while len(g) - 1 >= 2 * i:
+        if p ** i > max_norm:
+            return out
         h = _modpoly.powmod(h, p, g, p)
         d = _modpoly.gcd(g, _modpoly.sub(h, [0, 1], p), p)
         if len(d) > 1:
@@ -238,7 +249,7 @@ def _ddf(f, p):
             g = _modpoly.divmod_(g, d, p)[0]
             h = _modpoly.mod(h, g, p)
         i += 1
-    if len(g) > 1:
+    if len(g) > 1 and p ** (len(g) - 1) <= max_norm:
         out.append((g, len(g) - 1))
     return out
 
@@ -296,6 +307,11 @@ def factor_mod_p(m, p):
     degree, linear included, goes through squarefree, distinct-degree and
     equal-degree factorization. The squarefree step ends at once when
     gcd(f, f') = 1, as at every prime not dividing disc(m).
+
+    Every factor is found, whatever its degree: the irreducibility
+    certificate and prime_ideals_above need them all. Prime-ideal
+    enumeration up to a norm bound does not call this; it runs the
+    squarefree step only at p | disc(m) and _ddf with max_norm.
     """
     if p == 2:
         raise EvenCharacteristic("p = 2 is rejected")

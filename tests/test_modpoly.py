@@ -243,6 +243,25 @@ def test_prime_divisors_match_trial_division():
         assert _modpoly.prime_divisors(n) == trial_division(n, primes), n
 
 
+def test_prime_divisors_split_semiprimes_of_large_factors():
+    # each factor is a prime of 7 to 9 digits by trial division up to its
+    # square root; trial division of the product would take up to 10^9 steps
+    primes = sieve(31623)
+    rng = random.Random(15)
+
+    def random_prime(digits):
+        while True:
+            q = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            if trial_division(q, primes) == [q]:
+                return q
+
+    for _ in range(12):
+        p, q = (random_prime(rng.choice((7, 8, 9))) for _ in range(2))
+        assert _modpoly.prime_divisors(p * q) == sorted({p, q})
+        assert _modpoly.prime_divisors(12 * p * q) == sorted({2, 3, p, q})
+        assert _modpoly.prime_divisors(p * p) == [p]
+
+
 def test_is_prime_rejects_the_strong_pseudoprime_to_the_first_12_bases():
     # 2, 3, ..., 37 all pass this composite; 41 catches it
     assert not is_prime(399165290221 * 798330580441)

@@ -19,6 +19,7 @@ from rankforge.errors import (
 )
 from rankforge.finite_field import FqElem
 from rankforge.number_field import prime_ideals_above
+from rankforge.poly import Poly, factor_mod_p
 from rankforge.primes import sieve
 from conftest import ideal_above
 
@@ -164,6 +165,98 @@ def test_landau_gauss_25(K_gauss):
     assert count == 7
 
 
+# n = 1 .. 5; with empty exclusions every p | disc(m) takes the ramified
+# paths: 2 (Q(i), x^3 - 2, x^4 - 2 = x^4 mod 2), 3 (x^3 - 2), 5 (Q(sqrt 5)),
+# 23 (x^3 - x + 1) and 19 and 151 (x^5 - x - 1)
+BOUNDED_FIELDS = [[0, 1], [1, 0, 1], [-1, -1, 1], [-2, 0, 0, 1], [1, -1, 0, 1],
+                  [-2, 0, 0, 0, 1], [-1, -1, 0, 0, 0, 1]]
+# p^2 - 1 and p^2 at p = 2, 3, 5, 11, 19 and 23; p^3 at p = 2, 3, 5 and 11
+BOUNDARY_NORMS = [1, 2, 3, 4, 8, 9, 24, 25, 27, 120, 121, 125, 360, 361, 528,
+                  529, 1331]
+
+
+def _bounded_fields():
+    for m in BOUNDED_FIELDS:
+        yield NumberField(m)
+        yield NumberField(m, excluded_primes=[])
+
+
+def _reference_ideals(K, X):
+    """(norm, p, factor, f, e) of every prime of norm <= X, from a complete
+    factorization of m at every non-excluded p <= X."""
+    out = []
+    for p in sieve(X):
+        if p in K.excluded_primes:
+            continue
+        if K.n == 1:
+            factors = [(Poly([0, 1]), 1)]
+        elif p == 2:  # factor_mod_p rejects p = 2
+            factors = [(P.factor, P.e) for P in prime_ideals_above(K, 2)]
+        else:
+            factors = factor_mod_p(K.m, p)
+        out += [(p ** g.degree, p, g.coeffs, g.degree, e) for g, e in factors
+                if p ** g.degree <= X]
+    return sorted(out)
+
+
+def test_enumeration_matches_complete_factorization():
+    for K in _bounded_fields():
+        for X in BOUNDARY_NORMS:
+            got = [(P.norm, P.p, P.factor.coeffs, P.f, P.e)
+                   for P in enumerate_prime_ideals(K, X)]
+            assert got == _reference_ideals(K, X), (K, X)
+
+
+def test_landau_sum_counts_the_enumerated_norms_exactly():
+    # landau_sum builds no ideals; its sum must still be the exactly rounded
+    # sum of math.log(N(P)) over the enumerated ideals, to the last bit
+    for K in _bounded_fields():
+        for X in BOUNDARY_NORMS:
+            logs = [math.log(P.norm) for P in enumerate_prime_ideals(K, X)]
+            total = math.fsum(logs)
+            assert landau_sum(K, X) == (total, total / X, len(logs)), (K, X)
+    # 13 is inert in Q(cbrt 2) and alone: the sum is one rounded log, and
+    # math.log(13 ** 3) differs from 3 * math.log(13) in the last bit
+    K = NumberField([-2, 0, 0, 1],
+                    excluded_primes=[p for p in sieve(2197) if p != 13])
+    assert landau_sum(K, 2197) == (math.log(2197), math.log(2197) / 2197, 1)
+
+
+def test_norm_bound_cuts_distinct_degree_split(monkeypatch):
+    # over x^4 - 2 a prime p > sqrt(X) costs one distinct-degree step, the
+    # power x^p mod m, and no squarefree split: the step to x^(p^2) and
+    # gcd(m, m') are skipped. Distinct-degree steps are the powmods to the
+    # exponent p; equal-degree splitting raises to (p^d - 1)/2.
+    from rankforge import _modpoly
+    from rankforge import number_field
+
+    steps_at, sff_at = [], []
+    powmod, sff = _modpoly.powmod, number_field._sff
+
+    def counting_powmod(f, e, m, p):
+        if e == p:
+            steps_at.append(p)
+        return powmod(f, e, m, p)
+
+    def counting_sff(f, p):
+        sff_at.append(p)
+        return sff(f, p)
+
+    monkeypatch.setattr(_modpoly, "powmod", counting_powmod)
+    monkeypatch.setattr(number_field, "_sff", counting_sff)
+    X = 2000
+    large = [p for p in sieve(X) if p * p > X]
+    K = NumberField([-2, 0, 0, 0, 1])
+    for run in (enumerate_prime_ideals, landau_sum):
+        steps_at.clear()
+        run(K, X)
+        assert sorted(p for p in steps_at if p * p > X) == large, run
+    assert sff_at == []
+    # with no exclusions the squarefree split runs at p | disc(m) alone
+    landau_sum(NumberField([1, -1, 0, 1], excluded_primes=[]), X)
+    assert sff_at == [23]
+
+
 def test_norm():
     K = NumberField([1, 0, 1])
     theta = K.theta()
@@ -213,6 +306,15 @@ def test_large_prime_discriminant_in_bounded_time():
     K = NumberField([-100000000000032, -1, 1])
     assert time.perf_counter() - start < 0.05
     assert K.excluded_primes == {400000000000129} == {K.disc_m}
+
+
+def test_semiprime_discriminant_in_bounded_time():
+    # disc = 10000121 * 10000141: trial division up to the smaller factor
+    # took over a second; rho splits it in a few thousand steps
+    start = time.perf_counter()
+    K = NumberField([-25000655004265, -1, 1])
+    assert time.perf_counter() - start < 0.05
+    assert K.excluded_primes == {10000121, 10000141}
 
 
 def test_degree4_irreducibility_certificate():
