@@ -8,16 +8,25 @@ mulmod is the one multiply-mod-m kernel: powmod, and through it the
 factorization and irreducibility tests, FqElem multiplication and the
 A_p kernel's r^((q-1)/2) all run on it. Its modulus m must be monic, of
 degree d, and its operands reduced mod m. The kernel packs the residues
-into one int, slot i holding coefficient i in whole 64-bit words wide
-enough for 2 d p^2 (Kronecker substitution; Harvey 2009), so a product is
-one big-int multiply. The slots at or above d are folded back from the
-top, each times the packed -m mod p, and every coefficient then takes one
-% p. powmod keeps its power packed from start to end; for a base of x,
-the multiply after a squaring is a one-slot shift of the square.
+into one int, slot i holding coefficient i (Kronecker substitution;
+Harvey 2009), so a product is one big-int multiply, and reduces the
+product with a fixed handful of whole-int operations and no loop over
+slots (_kernel): the degree by polynomial Barrett, the quotient
+floor(floor(v / x^d) floor(x^(2d-1) / m) / x^(d-1)) times the packed
+-m mod p, and the coefficients by a SWAR Barrett step (Barrett 1986) that
+brings every slot into [0, 2p) at once. Residues stay lazy, in [0, 2p),
+while powmod squares and multiplies; each coefficient takes its one % p
+when it is unpacked. Every slot value is below 6 d p^2, and a slot is
+_slot_bits(d, p) bits wide, enough for that bound times the Barrett
+multiplier, so large p only widens the slots. The per-(m, p) constants are
+cached. For a base of x, powmod's multiply after a squaring is a one-slot
+shift of the square.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 from .primes import PRIME_TEST_BOUND, is_prime
 
@@ -69,7 +78,7 @@ def divmod_(f, g, p):
         raise ZeroDivisionError("polynomial division by zero")
     f = list(f)
     dg = len(g) - 1
-    inv_lead = 1 if g[-1] == 1 else pow(g[-1], p - 2, p)
+    inv_lead = 1 if g[-1] == 1 else pow(g[-1], -1, p)
     quo = [0] * max(len(f) - dg, 0)
     for k in range(len(quo) - 1, -1, -1):
         c = quo[k] = f[k + dg] * inv_lead % p
@@ -80,13 +89,24 @@ def divmod_(f, g, p):
 
 
 def mod(f, g, p):
-    return divmod_(f, g, p)[1]
+    """The remainder of divmod_, with no quotient list."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = list(f)
+    dg = len(g) - 1
+    inv_lead = 1 if g[-1] == 1 else pow(g[-1], -1, p)
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c = f[k + dg] * inv_lead % p
+        if c:
+            for i in range(dg):
+                f[k + i] -= c * g[i]
+    return trim([c % p for c in f[:dg]])
 
 
 def monic(f, p):
     if not f:
         return []
-    return scale(f, pow(f[-1], p - 2, p), p)
+    return scale(f, pow(f[-1], -1, p), p)
 
 
 def gcd(f, g, p):
@@ -96,10 +116,14 @@ def gcd(f, g, p):
 
 
 def _slot_bits(d, p):
-    """Width of one packed slot for a modulus of degree d: whole 64-bit
-    words holding 2 d p^2, above every coefficient of a product of two
-    reduced operands (at most d (p-1)^2) plus what folding adds to it."""
-    return -(-(2 * d * p * p).bit_length() // 64) * 64
+    """Width of one packed slot for a modulus of degree d over F_p.
+
+    Every slot value the reduction meets is below V = 6 d p^2 (see
+    _kernel), and the Barrett step multiplies such a value by
+    mu_p = floor(2^t / p) with 2^t >= 2V; a slot holds that product.
+    """
+    bound = 6 * d * p * p
+    return ((bound - 1) * ((1 << bound.bit_length() + 1) // p)).bit_length()
 
 
 def _pack(coeffs, bits):
@@ -110,61 +134,91 @@ def _pack(coeffs, bits):
     return v
 
 
-def _fold(v, top, d, negm, bits, p):
-    """v mod m, packed: slots top down to d of v are each taken % p and
-    added, times the packed -m mod p, to the d slots below them; then each
-    of the d low slots is taken % p. Slots never carry."""
+def _unpack(v, d, bits, p):
+    """The d low slots of v, each taken % p."""
     mask = (1 << bits) - 1
-    low = d * bits
-    for shift in range(top * bits, low - 1, -bits):
-        v += (v >> shift & mask) % p * negm << (shift - low)
-    out = 0
-    for shift in range(low - bits, -1, -bits):
-        out = out << bits | (v >> shift & mask) % p
-    return out
+    return trim([(v >> shift & mask) % p for shift in range(0, d * bits, bits)])
 
 
-def _unpack(v, d, bits):
-    mask = (1 << bits) - 1
-    return trim([v >> shift & mask for shift in range(0, d * bits, bits)])
+@functools.lru_cache(maxsize=32)
+def _kernel(m, p):
+    """(d, slot bits, reduce) for a monic m of degree d, given as a tuple.
 
+    reduce(v) takes a packed polynomial of degree at most 2d - 1 whose
+    coefficients are at most d (2p - 1)^2, the product of two residues
+    with coefficients in [0, 2p), possibly times x, and returns v mod m
+    with every coefficient in [0, 2p) and congruent to the true one mod p.
 
-def _packing(m, p):
-    """(d, slot bits, packed -m mod p) for a monic m of degree d."""
+    Degree: polynomial Barrett with mu = floor(x^(2d-1) / m) over F_p.
+    The quotient of v by m is q = floor(floor(v / x^d) mu / x^(d-1)),
+    exactly, and v mod m is the low d slots of v + q (-m mod p).
+
+    Coefficients: one SWAR Barrett step acts on every slot at once,
+    x - floor(x mu_p / 2^t) p with mu_p = floor(2^t / p) and 2^t >= 2V.
+    For 0 <= x < V the quotient is short by at most one, so the result
+    lies in [0, 2p); no slot borrows. It runs on the high part of v, on
+    q and on the result, where the slots are at most d (2p - 1)^2,
+    d (2p - 1)(p - 1) and d (2p - 1)(3p - 2), all below V = 6 d p^2.
+    With slots of _slot_bits(d, p) bits nothing carries from one slot
+    into the next, and the masks keep each slot's quotient to itself.
+    """
     d = len(m) - 1
     bits = _slot_bits(d, p)
-    return d, bits, _pack([-c % p for c in m[:d]], bits)
+    t = (6 * d * p * p).bit_length() + 1
+    mu_p = (1 << t) // p
+    high = d * bits
+    low = (1 << high) - 1
+    top = high - bits
+    qmask = ((1 << bits - t) - 1) * (low // ((1 << bits) - 1))
+    # mu reversed is 1 / (x^d m(1/x)) to d terms: c_k = -sum m_(d-j) c_(k-j),
+    # and c_k goes to slot d - 1 - k; slot k of negm is -m_k mod p
+    c = [1]
+    mu = 1
+    negm = -m[d - 1] % p
+    for k in range(1, d):
+        c.append(-sum(map(operator.mul, m[d - k:d], c)) % p)
+        mu = mu << bits | c[k]
+        negm = negm << bits | -m[d - 1 - k] % p
+
+    def reduce(v):
+        h = v >> high
+        h -= (h * mu_p >> t & qmask) * p
+        q = h * mu >> top
+        q -= (q * mu_p >> t & qmask) * p
+        v = (v + q * negm) & low
+        return v - (v * mu_p >> t & qmask) * p
+
+    return d, bits, reduce
 
 
 def mulmod(a, b, m, p):
     """a * b mod m for monic m and a, b of degree below deg m: one big-int
-    product of the packed operands (Kronecker substitution), then _fold."""
-    d, bits, negm = _packing(m, p)
-    prod = _pack(a, bits) * _pack(b, bits)
-    return _unpack(_fold(prod, len(a) + len(b) - 2, d, negm, bits, p), d, bits)
+    product of the packed operands (Kronecker substitution), reduced by
+    the kernel of m and unpacked."""
+    d, bits, reduce = _kernel(tuple(m), p)
+    return _unpack(reduce(_pack(a, bits) * _pack(b, bits)), d, bits, p)
 
 
 def powmod(f, e, m, p):
-    """f^e mod a monic m, left-to-right square and multiply on the packed
-    kernel of mulmod, packed from start to end; a constant f stays in F_p,
-    and multiplying by a base of x shifts the square by one slot."""
+    """f^e mod a monic m, left-to-right square and multiply on the kernel
+    of mulmod, packed from start to end with lazy residues in [0, 2p); a
+    constant f stays in F_p, and multiplying by a base of x shifts the
+    square by one slot."""
     if len(f) <= 1:
         return trim([pow(f[0] if f else 0, e, p)])
     if e == 0:
         return [1]
-    f = mod(f, m, p)
-    d, bits, negm = _packing(m, p)
+    if len(f) >= len(m):
+        f = mod(f, m, p)
+    d, bits, reduce = _kernel(tuple(m), p)
     by_x = f == [0, 1]
     v = base = _pack(f, bits)
-    top = 2 * d - 2
     for bit in bin(e)[3:]:
-        if bit == "1" and by_x:
-            v = _fold(v * v << bits, top + 1, d, negm, bits, p)
-            continue
-        v = _fold(v * v, top, d, negm, bits, p)
+        v *= v
         if bit == "1":
-            v = _fold(v * base, top, d, negm, bits, p)
-    return _unpack(v, d, bits)
+            v = v << bits if by_x else reduce(v) * base
+        v = reduce(v)
+    return _unpack(v, d, bits, p)
 
 
 def deriv(f, p):

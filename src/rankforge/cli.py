@@ -21,7 +21,8 @@ from .errors import InvalidArgument, RankforgeError, RepeatedRoot, ZeroAlpha
 from .errors import ZeroRoot
 from .family import FamilySpec, construct_family, is_good_prime
 from .finite_field import make_field, quadratic_character
-from .number_field import NumberField, landau_sum, prime_ideals_above
+from .number_field import NumberField, is_p_maximal, landau_sum
+from .number_field import prime_ideals_above
 from .number_field import enumerate_prime_ideals
 from .poly import fraction_to_str, poly_from_str, poly_to_str
 from .primes import is_prime, sieve
@@ -103,13 +104,14 @@ def _load_field_spec(obj):
     except RankforgeError as exc:
         raise InvalidArgument(f"field spec: {exc}") from None
     if excluded is not None:
-        # Dedekind's factorization can mislabel the primes above such a p
+        # Dedekind's factorization mislabels the primes above such a p
         kept = ", ".join(str(p) for p in prime_divisors(abs(K.disc_m))
-                         if p not in K.excluded_primes)
+                         if p not in K.excluded_primes
+                         and not is_p_maximal(K.m, p))
         if kept:
-            click.echo(f"warning: excluded_primes leaves out {kept}, which "
-                       f"divide disc(m) = {K.disc_m}; Z[theta] may not be "
-                       "maximal there", err=True)
+            raise InvalidArgument(
+                f"excluded_primes leaves out {kept}, where Z[theta] is not "
+                f"maximal (Dedekind's criterion; disc(m) = {K.disc_m})")
     return K
 
 

@@ -2,7 +2,9 @@
 
 O_K is approximated by the order Z[theta]: factoring the minimal polynomial
 mod p (Dedekind) gives the primes of O_K for every p outside the excluded
-set, which defaults to the primes dividing disc(m).
+set, which defaults to the primes dividing disc(m). is_p_maximal (Dedekind's
+criterion) tells which of those a caller may leave out: exactly the p where
+Z[theta] is p-maximal.
 
 Enumeration up to a norm bound X factors only what can have norm <= X: the
 squarefree split runs only at p | disc(m), the distinct-degree split stops
@@ -310,6 +312,26 @@ def enumerate_prime_ideals(K, X):
               for g in _edf(prod, d, p)]
     ideals.sort(key=PrimeIdeal.sort_key)
     return ideals
+
+
+def is_p_maximal(m, p):
+    """Dedekind's criterion: is Z[theta] maximal at p, for theta a root of
+    the monic integer polynomial m?
+
+    Write m mod p = prod g_i^e_i, let t be the lift of the radical
+    prod g_i and h that of (m mod p) / t, both with coefficients in
+    [0, p), and F = (m - t h) / p. Then Z[theta] is p-maximal iff
+    gcd(F, t, h) = 1 over F_p (Cohen, GTM 138, Thm 6.1.4). At p not
+    dividing disc(m), m mod p is squarefree, h = 1 and the answer is yes.
+    """
+    f = _modpoly.trim([c % p for c in m])
+    t = [1]
+    for g, _ in _sff(f, p):
+        t = _modpoly.mul(t, g, p)
+    h = _modpoly.divmod_(f, t, p)[0]
+    th = (Poly(t) * Poly(h)).coeffs
+    F = _modpoly.trim([(c - d) // p % p for c, d in zip(m, th)])
+    return len(_modpoly.gcd(_modpoly.gcd(F, t, p), h, p)) == 1
 
 
 def _factor_mod_two(m):

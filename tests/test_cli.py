@@ -80,7 +80,8 @@ def test_ideals_list(runner, tmp_path):
 
 # x^2 + 3: disc(m) = -12, and Z[theta] is not maximal at 2, where Dedekind
 # reads (x + 1)^2 as a ramified prime of norm 2 although 2 is inert in
-# Z[(1 + sqrt -3)/2]
+# Z[(1 + sqrt -3)/2]; at 3 it is maximal, and (3, theta) is right. The
+# second parameter is the primes of disc(m) that the list leaves out.
 @pytest.mark.parametrize("excluded, warned", [
     ([], "2, 3"), ([2], "3"), ([2, 3], None), (None, None)])
 def test_excluded_primes_leaving_out_disc_primes_warns(runner, tmp_path,
@@ -92,18 +93,21 @@ def test_excluded_primes_leaving_out_disc_primes_warns(runner, tmp_path,
     path.write_text(json.dumps(spec))
     res = runner.invoke(main, ["ideals", "list", "--field", str(path),
                                "--max-norm", "10", "--out", str(out)])
+    if warned is not None and "2" in warned.split(", "):
+        # Dedekind's criterion fails at 2 alone: one line, exit 2, no table
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            "Error: excluded_primes leaves out 2, where Z[theta] is not "
+            "maximal (Dedekind's criterion; disc(m) = -12)"]
+        assert not out.exists()
+        return
     assert res.exit_code == 0
     skipped = [2, 3] if excluded is None else excluded
     rows = out.read_text().splitlines()
-    assert ('2,2,1,2,"1,1"' in rows) == (2 not in skipped)
+    assert ('3,3,1,2,"0,1"' in rows) == (3 not in skipped)
+    assert not any(row.startswith("2,2,") for row in rows)
     # with the table in a file, the output holds only the stderr lines
-    warnings = [l for l in res.output.splitlines() if "warning" in l]
-    if warned is None:
-        assert warnings == []
-    else:
-        assert warnings == [
-            f"warning: excluded_primes leaves out {warned}, which divide "
-            "disc(m) = -12; Z[theta] may not be maximal there"]
+    assert "warning" not in res.output and "Error" not in res.output
 
 
 def test_landau(runner, field_file):

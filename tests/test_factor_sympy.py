@@ -1,13 +1,16 @@
 """factor_mod_p and the Dedekind ideal lists against sympy's independent
-factorization over F_p (factor_list with modulus=p)."""
+factorization over F_p (factor_list with modulus=p), and Dedekind's
+maximality criterion against sympy's round-two integral basis."""
 
+import math
 import random
 
 import pytest
 
 from rankforge import NumberField, factor_mod_p
 from rankforge._modpoly import mul
-from rankforge.number_field import prime_ideals_above
+from rankforge._modpoly import prime_divisors
+from rankforge.number_field import is_p_maximal, prime_ideals_above
 from rankforge.primes import sieve
 
 sympy = pytest.importorskip("sympy")
@@ -75,3 +78,25 @@ def test_prime_ideals_above_match_sympy(min_poly):
         want = [(p, g, len(g) - 1, e, p ** (len(g) - 1))
                 for g, e in sympy_factors(min_poly, p)]
         assert got == want, p
+
+
+def test_dedekind_criterion_matches_sympy_round_two():
+    # Z[theta] is p-maximal iff p does not divide its index in O_K, the
+    # square root of disc(m) / disc(K)
+    from sympy.polys.numberfields.basis import round_two
+
+    rng = random.Random(16)
+    fields = [[3, 0, 1], [-5, 0, 1], [-8, 0, 1], [-10, 0, 0, 1],
+              [-2, 0, 0, 1], [-2, 0, 0, 0, 1], [-1, -1, 0, 0, 0, 1],
+              [-12, 0, 0, 1], [-28, 0, 0, 1], [-162, 0, 0, 1], [-72, 0, 0, 0, 1]]
+    while len(fields) < 40:
+        m = [rng.randint(-30, 30) for _ in range(rng.randint(2, 4))] + [1]
+        poly = sympy.Poly(list(reversed(m)), X)
+        if poly.is_irreducible and poly.discriminant() != 0:
+            fields.append(m)
+    for m in fields:
+        poly = sympy.Poly(list(reversed(m)), X, domain="ZZ")
+        disc_m = int(poly.discriminant())
+        index = math.isqrt(disc_m // int(round_two(poly)[1]))
+        for p in prime_divisors(abs(disc_m)):
+            assert is_p_maximal(m, p) == (index % p != 0), (m, p)

@@ -2,9 +2,12 @@
 reference: a plain product (_modpoly.mul) followed by long division written
 out here, and powers by right-to-left square and multiply on that product.
 
-The kernel packs residues into slots of whole 64-bit words; WIDE holds
-primes whose slots take 2, 2 and 3 words, and degree 12 is the degree of
-the norm of D_T at the inert primes of Q(sqrt 5)."""
+The kernel packs residues into slots of _slot_bits(d, p) bits, a bound of
+about 3 log2(p) + 2 log2(6d) bits, so large p only widens the slots; WIDE
+holds primes whose slots pass one 64-bit word, and the PRIMES below 50000
+fit in one at every degree up to 12. Degrees up to 12 cover every modulus
+the package reaches: A_P powers modulo P.factor and factorization works
+modulo factors of m, so the degree is at most that of the field."""
 
 import random
 
@@ -79,54 +82,69 @@ def test_mulmod_matches_reference(degree):
             assert got == ref_mulmod(a, b, m, p), (a, b, m, p)
 
 
-def test_wide_primes_take_two_and_three_words():
-    assert [_modpoly._slot_bits(12, p) // 64 for p in WIDE] == [2, 2, 3]
-    assert [_modpoly._slot_bits(1, p) // 64 for p in WIDE] == [2, 2, 3]
-    assert {_modpoly._slot_bits(12, p) for p in PRIMES} == {64}
+def test_wide_primes_take_slots_past_one_word():
+    # the written bound: every slot value is below 6 d p^2, and a slot
+    # holds it times the Barrett multiplier floor(2^t / p), 2^t >= 12 d p^2
+    for d in range(1, 13):
+        for p in SMALL + WIDE + PRIMES[::500]:
+            t = (6 * d * p * p).bit_length() + 1
+            worst = d * (2 * p - 1) * (3 * p - 2) * ((1 << t) // p)
+            assert worst < 2 ** _modpoly._slot_bits(d, p), (d, p)
+    assert min(_modpoly._slot_bits(d, p) for d in (1, 12) for p in WIDE) > 64
+    assert max(_modpoly._slot_bits(12, p) for p in PRIMES) <= 64
 
 
 @pytest.mark.parametrize("degree", range(1, 13))
 def test_powmod_matches_reference_up_to_degree_12(degree):
     # bases x, general and constant; the exponents of Fermat, of Euler's
-    # criterion and of a random 100-bit power
+    # criterion, of a random 100-bit power, and 2^k - 1, whose every bit is
+    # set, so that each squaring is followed by a multiply (a shift for x)
     rng = random.Random(300 + degree)
     for p in SMALL + WIDE + rng.sample(PRIMES, 3):
         m = rand_monic(rng, p, degree)
         general = rand_poly(rng, p, degree) or [1]
         for f in ([0, 1], general, [rng.randrange(1, p)]):
             for e in (0, 1, 2, p ** degree - 1, (p - 1) // 2,
-                      rng.randrange(10 ** 30)):
+                      rng.randrange(10 ** 30), 2 ** 17 - 1, 2 ** 101 - 1):
                 got = _modpoly.powmod(f, e, m, p)
                 assert is_reduced(got, p)
                 assert got == ref_powmod(f, e, m, p), (f, e, m, p)
 
 
-def test_slots_one_word_narrower_fail(monkeypatch):
-    # the slot width is what keeps the products exact: one word less and
-    # every product at a wide prime comes out wrong
+def worst_case(p, degree):
+    """Operands p - 1 and a modulus with -m = p - 1: the largest slots."""
+    return [p - 1] * degree, [1] * degree + [1]
+
+
+def test_slots_three_bits_narrower_fail(monkeypatch):
+    # the slot width is what keeps the products exact, and the bound is
+    # within three bits of what the worst operands need: three bits less
+    # and their powers come out wrong at every wide prime
     width = _modpoly._slot_bits
-    monkeypatch.setattr(_modpoly, "_slot_bits", lambda d, p: width(d, p) - 64)
-    rng = random.Random(12)
-    for p in WIDE:
-        for degree in (1, 6, 12):
-            m = rand_monic(rng, p, degree)
-            a = [rng.randrange(p // 2, p) for _ in range(degree)]
-            assert _modpoly.mulmod(a, a, m, p) != ref_mulmod(a, a, m, p)
-            assert _modpoly.powmod([0, 1], p, m, p) != ref_powmod([0, 1], p, m, p)
+    monkeypatch.setattr(_modpoly, "_slot_bits", lambda d, p: width(d, p) - 3)
+    _modpoly._kernel.cache_clear()
+    try:
+        for p in WIDE:
+            for degree in (2, 6, 12):
+                a, m = worst_case(p, degree)
+                e = 2 ** 20 - 1
+                assert _modpoly.powmod(a, e, m, p) != ref_powmod(a, e, m, p)
+    finally:
+        _modpoly._kernel.cache_clear()
 
 
-def test_large_slots_at_the_one_word_edge():
-    # 12 p^2 fits one word but 2 * 12 p^2 does not. With the operands and
-    # -m mod p in the top eighth of F_p, a middle slot of the product plus
-    # its eleven folds overflows 64 bits, so it needs the second word
-    p, degree = 1200000041, 12
-    assert 12 * p * p < 2 ** 64 < 23 * (p - 1) ** 2
-    rng = random.Random(degree)
-    for _ in range(20):
-        m = [rng.randrange(1, p // 8) for _ in range(degree)] + [1]
-        a = [rng.randrange(p - p // 8, p) for _ in range(degree)]
-        assert _modpoly.mulmod(a, a, m, p) == ref_mulmod(a, a, m, p)
-        assert _modpoly.powmod(a, 3, m, p) == ref_powmod(a, 3, m, p)
+def test_worst_case_operands_stay_exact_at_the_slot_bound():
+    # the same operands at the full width, for every degree and for primes
+    # from 3 to 2^89 - 1; with the lazy residues of powmod in [0, 2p) the
+    # slots of every product, quotient and remainder are at their largest
+    for degree in range(1, 13):
+        for p in SMALL + WIDE + [30011, 1000003]:
+            a, m = worst_case(p, degree)
+            assert _modpoly.mulmod(a, a, m, p) == ref_mulmod(a, a, m, p)
+            for e in (3, 2 ** 20 - 1):
+                assert _modpoly.powmod(a, e, m, p) == ref_powmod(a, e, m, p)
+            assert (_modpoly.powmod([0, 1], p, m, p)
+                    == ref_powmod([0, 1], p, m, p))
 
 
 def test_mulmod_edge_operands():
@@ -206,6 +224,7 @@ def test_divmod_matches_reference(monic):
         quo, rem = _modpoly.divmod_(f, g, p)
         assert is_reduced(quo, p) and is_reduced(rem, p)
         assert (quo, rem) == long_division(f, g, p)
+        assert _modpoly.mod(f, g, p) == rem
         assert _modpoly.add(_modpoly.mul(quo, g, p), rem, p) == f
 
 
@@ -220,6 +239,8 @@ def test_divmod_non_monic_divisor():
     assert _modpoly.divmod_([2, 0, 3], [1, 5], 7) == ([1, 2], [1])
     with pytest.raises(ZeroDivisionError):
         _modpoly.divmod_([1, 2], [], 7)
+    with pytest.raises(ZeroDivisionError):
+        _modpoly.mod([1, 2], [], 7)
 
 
 def trial_division(n, primes):

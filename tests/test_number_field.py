@@ -18,7 +18,7 @@ from rankforge.errors import (
     RankforgeError,
 )
 from rankforge.finite_field import FqElem
-from rankforge.number_field import prime_ideals_above
+from rankforge.number_field import is_p_maximal, prime_ideals_above
 from rankforge.poly import Poly, factor_mod_p
 from rankforge.primes import sieve
 from conftest import ideal_above
@@ -255,6 +255,22 @@ def test_norm_bound_cuts_distinct_degree_split(monkeypatch):
     # with no exclusions the squarefree split runs at p | disc(m) alone
     landau_sum(NumberField([1, -1, 0, 1], excluded_primes=[]), X)
     assert sff_at == [23]
+
+
+def test_dedekind_criterion():
+    # x^2 + 3 at 2: O_K = Z[(1 + sqrt -3)/2]; x^2 - 5 at 2 likewise;
+    # x^3 - 10 at 3: 10 = 1 mod 9, so (1 + theta + theta^2)/3 is integral.
+    # x^3 - 2 and x^4 - 2 are Eisenstein at 2, and x^3 - 2 is maximal at 3
+    assert not is_p_maximal((3, 0, 1), 2)
+    assert is_p_maximal((3, 0, 1), 3)
+    assert not is_p_maximal((-5, 0, 1), 2)
+    assert is_p_maximal((-5, 0, 1), 5)
+    assert not is_p_maximal((-10, 0, 0, 1), 3)
+    assert is_p_maximal((-10, 0, 0, 1), 2) and is_p_maximal((-10, 0, 0, 1), 5)
+    assert is_p_maximal((-2, 0, 0, 1), 2) and is_p_maximal((-2, 0, 0, 1), 3)
+    assert is_p_maximal((-2, 0, 0, 0, 1), 2)
+    # away from disc(m) the criterion always holds
+    assert all(is_p_maximal((-1, -1, 0, 0, 0, 1), p) for p in sieve(200))
 
 
 def test_norm():
