@@ -6,7 +6,9 @@ code so neither has to depend on the other.
 
 mulmod is the one multiply-mod-m kernel: powmod, and through it the
 factorization and irreducibility tests, FqElem multiplication and the
-A_p kernel's r^((q-1)/2) all run on it. Its modulus m must be monic, of
+A_p kernel's r^((q-1)/2) all run on it; reduction mod a prime ideal
+(number_field.reduce_coords) takes its powers of theta by companion
+steps and builds no kernel. mulmod's modulus m must be monic, of
 degree d, and its operands reduced mod m. The kernel packs the residues
 into one int, slot i holding coefficient i (Kronecker substitution;
 Harvey 2009), so a product is one big-int multiply, and reduces the

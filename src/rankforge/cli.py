@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 import contextlib
 import csv
+import gc
 import json
 import os
 import sys
@@ -16,12 +17,11 @@ import click
 
 from . import legendre as legendre_mod
 from . import nagao as nagao_mod
-from ._modpoly import prime_divisors
 from .errors import InvalidArgument, RankforgeError, RepeatedRoot, ZeroAlpha
 from .errors import ZeroRoot
 from .family import FamilySpec, construct_family, is_good_prime
 from .finite_field import make_field, quadratic_character
-from .number_field import NumberField, is_p_maximal, landau_sum
+from .number_field import NumberField, landau_sum
 from .number_field import prime_ideals_above
 from .number_field import enumerate_prime_ideals
 from .poly import fraction_to_str, poly_from_str, poly_to_str
@@ -101,17 +101,10 @@ def _load_field_spec(obj):
             min_poly,
             excluded_primes=excluded,
             assert_irreducible=obj.get("assert_irreducible", False))
+    except InvalidArgument:
+        raise
     except RankforgeError as exc:
         raise InvalidArgument(f"field spec: {exc}") from None
-    if excluded is not None:
-        # Dedekind's factorization mislabels the primes above such a p
-        kept = ", ".join(str(p) for p in prime_divisors(abs(K.disc_m))
-                         if p not in K.excluded_primes
-                         and not is_p_maximal(K.m, p))
-        if kept:
-            raise InvalidArgument(
-                f"excluded_primes leaves out {kept}, where Z[theta] is not "
-                f"maximal (Dedekind's criterion; disc(m) = {K.disc_m})")
     return K
 
 
@@ -414,6 +407,9 @@ def rank(family_path, max_norm, method):
 
 
 def entrypoint():
+    # the import graph lives until exit: keep it out of every collection,
+    # the one at interpreter exit included
+    gc.freeze()
     try:
         main(standalone_mode=True)
     except RankforgeError as exc:

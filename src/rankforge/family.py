@@ -9,6 +9,7 @@ of the r_i and the identity is re-verified by exact expansion.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadPrime,
@@ -137,8 +138,7 @@ def _bad_divisor(spec, roots, coefficients):
     return d
 
 
-@dataclass(frozen=True)
-class ReducedFamily:
+class ReducedFamily(NamedTuple):
     """Family data reduced at one prime ideal, each element the tuple of
     its f coordinates over F_p (FqElem.coeffs). reason is None at a good
     prime; g, h and roots are None where the data does not reduce at all.

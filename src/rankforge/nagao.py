@@ -14,8 +14,8 @@ reference path the tests check them against.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _modpoly
 from .errors import BadPrime, InvalidArgument, RankforgeError
@@ -42,8 +42,7 @@ def trace_a_t(fam, P, t):
     return curve_trace(fiber_polynomial(fam, P, t), P.residue_field)
 
 
-@dataclass(frozen=True)
-class ApResult:
+class ApResult(NamedTuple):
     prime: object  # PrimeIdeal
     sum_a_t: int
     A_p: Fraction
@@ -111,8 +110,7 @@ def average_A_p(fam, P, method="analytic"):
     raise RankforgeError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class RankSeriesRow:
+class RankSeriesRow(NamedTuple):
     X: int
     partial_sum: float
     ideals_used: int
@@ -167,8 +165,7 @@ def nagao_partial_sum(fam, X, method="analytic", checkpoints=None):
     return rows
 
 
-@dataclass(frozen=True)
-class RankEstimate:
+class RankEstimate(NamedTuple):
     X: int
     partial_sum: float
     theta_good: float

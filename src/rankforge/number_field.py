@@ -2,9 +2,9 @@
 
 O_K is approximated by the order Z[theta]: factoring the minimal polynomial
 mod p (Dedekind) gives the primes of O_K for every p outside the excluded
-set, which defaults to the primes dividing disc(m). is_p_maximal (Dedekind's
-criterion) tells which of those a caller may leave out: exactly the p where
-Z[theta] is p-maximal.
+set, which defaults to the primes dividing disc(m). A caller's own list may
+leave out exactly the p | disc(m) where Z[theta] is p-maximal; NumberField
+refuses any other list (is_p_maximal, Dedekind's criterion).
 
 Enumeration up to a norm bound X factors only what can have norm <= X: the
 squarefree split runs only at p | disc(m), the distinct-degree split stops
@@ -18,21 +18,24 @@ written as integer coordinates over one common denominator d
 (integer_coords), and the image of each in O_K/P = F_p[x]/(P.factor) is the
 tuple of its f coordinates over F_p, the dot products of its coordinates
 with the images of 1, theta, ..., theta^(n-1) times d^-1 mod p, one inverse
-per batch (reduce_coords). reduce_elem wraps one such tuple in an FqElem;
-the rank path keeps the tuples. No residue field is built above 2.
+per batch (reduce_coords). Each image is the one before times theta, one
+companion step: a shift and one multiple of P.factor, with no multiply mod
+P.factor. reduce_elem wraps one such tuple in an FqElem; the rank path
+keeps the tuples. No residue field is built above 2.
 """
 
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _modpoly
 from .errors import (
     DenominatorNotInvertible,
     EvenCharacteristic,
+    InvalidArgument,
     NotKnownIrreducible,
     RankforgeError,
 )
@@ -74,7 +77,29 @@ class NumberField:
         self._certify_irreducible(assert_irreducible)
         if excluded_primes is None:
             excluded_primes = _modpoly.prime_divisors(abs(self.disc_m))
-        self.excluded_primes = frozenset(int(p) for p in excluded_primes)
+        else:
+            excluded_primes = list(excluded_primes)
+            self._check_excluded(excluded_primes)
+        self.excluded_primes = frozenset(excluded_primes)
+
+    def _check_excluded(self, excluded):
+        """Refuse a user list of excluded primes that holds anything but
+        primes, or that leaves out a p | disc(m) where Z[theta] is not
+        maximal: Dedekind's factorization mislabels the primes above it.
+        disc(m) = [O_K : Z[theta]]^2 disc(K), so only a p with p^2 | disc(m)
+        needs the criterion."""
+        if not all(isinstance(p, int) and not isinstance(p, bool)
+                   and is_prime(p) for p in excluded):
+            raise InvalidArgument(
+                f"excluded_primes must be a list of primes, got {excluded!r}")
+        kept = [p for p in _modpoly.prime_divisors(abs(self.disc_m))
+                if p not in excluded and self.disc_m % (p * p) == 0
+                and not is_p_maximal(self.m, p)]
+        if kept:
+            raise InvalidArgument(
+                f"excluded_primes leaves out {', '.join(map(str, kept))}, "
+                f"where Z[theta] is not maximal (Dedekind's criterion; "
+                f"disc(m) = {self.disc_m})")
 
     def _certify_irreducible(self, asserted):
         if self.n == 1:
@@ -235,8 +260,7 @@ class KElem:
         return "KElem[" + ",".join(str(c) for c in self.coeffs) + "]"
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """A prime of O_K above p, from Dedekind factorization of m mod p."""
 
     p: int
@@ -245,20 +269,27 @@ class PrimeIdeal:
     e: int
     norm: int
 
-    @functools.cached_property
+    @property
     def residue_field(self):
         """O_K/P; refused above 2, where Euler's criterion and the squares
-        table of FqField would disagree on the quadratic character."""
+        table of FqField would disagree on the quadratic character. The
+        fields of the last 4096 (p, factor) asked for are kept, so equal
+        ideals share one field and its tables."""
         if self.p == 2:
             raise EvenCharacteristic(
                 f"even residue characteristic 2 at {self.label()}")
-        return FqField(self.p, self.factor.coeffs)
+        return _residue_field(self.p, self.factor.coeffs)
 
     def sort_key(self):
         return (self.norm, self.p, self.factor.coeffs)
 
     def label(self):
         return f"({self.p}, {poly_to_str(self.factor)})"
+
+
+@functools.lru_cache(maxsize=4096)
+def _residue_field(p, modulus):
+    return FqField(p, modulus)
 
 
 def prime_ideals_above(K, p):
@@ -362,23 +393,34 @@ def integer_coords(*elems):
                  for x in elems), d
 
 
+def _theta_images(n, g, p, scale):
+    """scale * theta^i in F_p[x]/(g) for i < n and monic g of degree f, each
+    as its f coefficients in [0, p), by companion steps: x u mod g shifts u
+    up one slot and subtracts u_(f-1) g. At f = 1 they are scale times the
+    powers of the root -g_0 of g."""
+    g = g[:-1]
+    u = [scale % p] + [0] * (len(g) - 1)
+    images = [u]
+    for _ in range(n - 1):
+        top = u[-1]
+        u = [(s - top * c) % p for s, c in zip([0, *u], g)]
+        images.append(u)
+    return images
+
+
 def reduce_coords(coords, P):
     """Coefficient tuples in O_K/P = F_p[x]/(P.factor) of nonempty
     integer_coords, whose denominator d must be prime to p: one dot product
     per residue coordinate, and one inverse of d per call.
 
     Column j of the map holds coordinate j of the images of 1, theta, ...,
-    theta^(n-1) times d^-1, each the one before times theta mod P.factor.
+    theta^(n-1) times d^-1 (_theta_images); no multiply mod P.factor runs.
     """
     rows, d = coords
-    p, g = P.p, P.factor.coeffs
-    theta = _modpoly.mod([0, 1], g, p)
-    images = [[pow(d, -1, p)]]
-    for _ in rows[0][1:]:
-        images.append(_modpoly.mulmod(images[-1], theta, g, p))
-    columns = zip(*(im + [0] * (P.f - len(im)) for im in images))
+    p = P.p
+    images = _theta_images(len(rows[0]), P.factor.coeffs, p, pow(d, -1, p))
     return list(zip(*([sum(map(operator.mul, nums, col)) % p for nums in rows]
-                      for col in columns)))
+                      for col in zip(*images))))
 
 
 def reduce_elem(x, P):

@@ -333,6 +333,15 @@ MALFORMED = {
     "excluded_primes not a list": (
         {**FAMILY_Q, "field": {"min_poly": "-1,-1,1", "excluded_primes": 5}},
         ["rank", "--max-norm", "100"]),
+    "excluded_primes negative": (
+        {**FAMILY_Q, "field": {"min_poly": "-1,-1,1", "excluded_primes": [-3]}},
+        ["rank", "--max-norm", "100"]),
+    "excluded_primes a bool": (
+        {**FAMILY_Q, "field": {"min_poly": "-1,-1,1", "excluded_primes": [True]}},
+        ["rank", "--max-norm", "100"]),
+    "excluded_primes composite": (
+        {**FAMILY_Q, "field": {"min_poly": "-1,-1,1", "excluded_primes": [4]}},
+        ["rank", "--max-norm", "100"]),
     "repeated root": (
         {**FAMILY_Q, "rho": ["1", "2", "3", "4", "5", "-5"]},
         ["rank", "--max-norm", "100"]),

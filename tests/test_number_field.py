@@ -333,6 +333,27 @@ def test_semiprime_discriminant_in_bounded_time():
     assert K.excluded_primes == {10000121, 10000141}
 
 
+def test_excluded_primes_leaving_out_a_non_maximal_prime_is_refused():
+    # x^2 + 3: Z[theta] is not maximal at 2, where Dedekind would list
+    # (2, x + 1) of norm 2 although 2 is inert in Z[(1 + sqrt -3)/2]; it is
+    # maximal at 3, so a list may leave 3 out
+    with pytest.raises(RankforgeError, match=(
+            r"^excluded_primes leaves out 2, where Z\[theta\] is not maximal "
+            r"\(Dedekind's criterion; disc\(m\) = -12\)$")):
+        NumberField([3, 0, 1], excluded_primes=[])
+    K = NumberField([3, 0, 1], excluded_primes=(p for p in [2]))
+    assert K.excluded_primes == {2}
+    assert [P.label() for P in enumerate_prime_ideals(K, 10)] == [
+        "(3, 0,1)", "(7, 2,1)", "(7, 5,1)"]
+
+
+@pytest.mark.parametrize("excluded", [[-3], [True], [4], [5, 1], [5.0]])
+def test_excluded_primes_must_be_primes(excluded):
+    with pytest.raises(RankforgeError, match=(
+            r"^excluded_primes must be a list of primes, got ")):
+        NumberField([-1, -1, 1], excluded_primes=excluded)
+
+
 def test_degree4_irreducibility_certificate():
     # Phi_5 is irreducible mod 3 (3 generates (Z/5)^*)
     NumberField([1, 1, 1, 1, 1])

@@ -9,11 +9,14 @@ import pytest
 from rankforge import (
     FamilySpec,
     NumberField,
+    PrimeIdeal,
     construct_family,
     enumerate_prime_ideals,
 )
-from rankforge.family import ReducedFamily, _reduce
-from rankforge.number_field import reduce_coords, reduce_elem
+from rankforge import _modpoly
+from rankforge.family import ReducedFamily, _reduce, is_good_prime
+from rankforge.nagao import average_A_p_analytic
+from rankforge.number_field import _theta_images, reduce_coords, reduce_elem
 
 X = 2000
 REASONS = ("even residue characteristic", "denominator not invertible",
@@ -34,6 +37,9 @@ FAMILIES = {
     "cbrt2": lambda: _family(
         [-2, 0, 0, 1], [[1], [2], [0, 1], [1, 1], [0, 0, 1], [2, 1]], [7]),
     "Q": lambda: _family([0, 1], [[i] for i in range(1, 7)], [1]),
+    # residue degrees 1, 2 and 4: x^4 - 2 is irreducible mod 5 (norm 625)
+    "x^4 - 2": lambda: _family(
+        [-2, 0, 0, 0, 1], [[1], [2], [0, 1], [1, 1], [0, 0, 1], [2, 1]], [1]),
 }
 
 
@@ -81,6 +87,9 @@ def test_reduce_matches_per_element_formula(name):
         assert _reduce(fam, P) == _reference(fam, P), P.label()
     if name == "cbrt2":
         assert {P.f for P in ideals} == {1, 2, 3}
+    if name == "x^4 - 2":
+        assert {P.f for P in ideals} == {1, 2, 4}
+        assert (625, 5, 4) in {(P.norm, P.p, P.f) for P in ideals}
 
 
 def test_every_bad_reason_occurs():
@@ -107,3 +116,45 @@ def test_reduce_coords_matches_reduce_elem(name):
         assert got == [reduce_elem(x, P).coeffs for x in elems], P.label()
         checked += 1
     assert checked >= 60
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_theta_images_are_reduced_residues(name):
+    # 3 theta^i mod P.factor, coefficient by coefficient in [0, p), against
+    # the remainder of 3 x^i by the division in _modpoly
+    K = FAMILIES[name]().K
+    for P in enumerate_prime_ideals(K, X):
+        p, g = P.p, list(P.factor.coeffs)
+        images = _theta_images(K.n, P.factor.coeffs, p, 3)
+        assert len(images) == K.n
+        for i, u in enumerate(images):
+            want = _modpoly.mod([0] * i + [3 % p], g, p)
+            assert u == want + [0] * (P.f - len(want)), (P.label(), i)
+
+
+def test_reduction_builds_no_multiply_kernel():
+    # the images of theta^i come from companion steps, not from mulmod, so
+    # no ideal builds a packed kernel for its modulus
+    for name in ("sqrt5 with denominators", "cbrt2"):
+        fam = FAMILIES[name]()
+        ideals = enumerate_prime_ideals(fam.K, X)
+        misses = _modpoly._kernel.cache_info().misses
+        for P in ideals:
+            _reduce(fam, P)
+        assert _modpoly._kernel.cache_info().misses == misses, name
+
+
+def test_per_ideal_records_are_immutable_and_hashable():
+    fam = FAMILIES["cbrt2"]()
+    P = next(P for P in enumerate_prime_ideals(fam.K, X)
+             if P.f == 2 and is_good_prime(fam, P)[0])
+    for record in (P, _reduce(fam, P), average_A_p_analytic(fam, P)):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        copy = record._replace()
+        assert copy is not record and copy == record
+        assert hash(copy) == hash(record)
+    # one residue field per (p, factor), however often or from whichever
+    # equal ideal it is asked for
+    assert P.residue_field is P.residue_field
+    assert PrimeIdeal(*P).residue_field is P.residue_field
