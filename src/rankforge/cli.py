@@ -17,8 +17,8 @@ import click
 
 from . import legendre as legendre_mod
 from . import nagao as nagao_mod
-from .errors import InvalidArgument, RankforgeError, RepeatedRoot, ZeroAlpha
-from .errors import ZeroRoot
+from .errors import InternalIdentityFailure, InvalidArgument, RankforgeError
+from .errors import RepeatedRoot, ZeroAlpha, ZeroRoot
 from .family import FamilySpec, construct_family, is_good_prime
 from .finite_field import make_field, quadratic_character
 from .number_field import NumberField, landau_sum
@@ -333,7 +333,8 @@ def nagao():
 @click.option("--method", type=click.Choice(["direct", "analytic", "both"]),
               default="analytic", show_default=True)
 def nagao_ap(family_path, p, method):
-    """sum of a_t and A_p for every prime ideal above p."""
+    """sum of a_t and A_p for every prime ideal above p; with --method both,
+    an error (exit 1) where the direct and analytic sums differ."""
     if not is_prime(p):
         raise InvalidArgument(f"--p must be a prime, got {p}")
     _, fam = _load_family(family_path)
@@ -351,11 +352,17 @@ def nagao_ap(family_path, p, method):
             click.echo(f"{P.label()}: bad prime: {reason}")
             failed = True
             continue
+        sums = []
         for m in methods:
             res = nagao_mod.average_A_p(fam, P, method=m)
             click.echo(f"{P.label()}: norm={P.norm} method={m} "
                        f"sum_a_t={res.sum_a_t} "
                        f"A_p={fraction_to_str(res.A_p)} good={res.good}")
+            sums.append(res.sum_a_t)
+        if len(set(sums)) > 1:  # independent methods agree exactly
+            raise InternalIdentityFailure(
+                f"{P.label()}: direct sum_a_t={sums[0]} but "
+                f"analytic sum_a_t={sums[1]}")
     if failed:
         sys.exit(1)
 

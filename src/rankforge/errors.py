@@ -62,7 +62,8 @@ class ZeroAlpha(RankforgeError):
 
 
 class InternalIdentityFailure(RankforgeError):
-    """Re-expansion of the constructed family failed; indicates a bug."""
+    """An exact identity failed: the re-expansion of the constructed family,
+    or the direct and analytic A_p sums of one ideal; indicates a bug."""
 
 
 class BadPrime(RankforgeError):

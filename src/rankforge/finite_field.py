@@ -7,14 +7,19 @@ FqElem with chi(u) (squares table) and quadratic_character (Euler's
 criterion) is the simple reference path. FqField.tables() codes elements as
 ints with O(q) log/antilog tables (Lidl-Niederreiter, Finite Fields, ch. 9)
 for the two brute-force kernels of the t-sum of chi(a t^2 + b t + c), both
-summing chi over every t: FqTables.t_sums, O(q) per triple, which the
+summing chi over every t. FqTables.t_sums takes a whole batch of triples in
+one pass over t: each triple is a slot of packed digit-plane ints, a t^2 +
+b t + c follows t by finite differences (slotwise adds mod p, no field
+multiply), and chi is read for every slot at once by bytes.translate. The
 random Legendre sweep and the direct A_p method in nagao (minus its sum
-over x) use, and FqTables.row_sums, all q values of c of one (a, b) at
-once from a packed chi, which the exhaustive Legendre sweep uses. The
-analytic A_p method needs no tables.
+over x) use it. FqTables.row_sums gives all q values of c of one (a, b) at
+once from a packed chi, for the exhaustive Legendre sweep. The analytic
+A_p method needs no tables.
 """
 
 import itertools
+import operator
+import struct
 from typing import NamedTuple
 
 from . import _modpoly
@@ -101,8 +106,9 @@ class FqField:
     def tables(self):
         """Integer-coded arithmetic of this field in O(q) for fixed r, built
         afresh on every call (never cached), for the t-sum kernels and their
-        callers: t_sums for nagao's direct A_p method, capped at norm 1000,
-        and the random Legendre sweep; row_sums for the exhaustive sweep.
+        callers: t_sums, one batch per call, for nagao's direct A_p method
+        (capped at norm 1000) and the random Legendre sweep; row_sums for
+        the exhaustive sweep.
 
         Coefficients c_0..c_{r-1} give the code sum c_i (2p-1)^i, so adding
         two codes never carries: red[a + b] is the code of the sum, and log
@@ -136,7 +142,7 @@ class FqField:
             powers.append(code)
             u = u * g
         log = list(map(log.__getitem__, red))
-        return FqTables(codes, red, log, powers * 2 + [0] * (2 * q - 1))
+        return FqTables(codes, red, log, powers * 2 + [0] * (2 * q - 1), p, r)
 
     def chi(self, u):
         """Quadratic character of u via the cached squares table."""
@@ -164,26 +170,120 @@ class FqTables(NamedTuple):
     red: list  # red[a + b]: code of the field sum of codes a and b
     log: list  # log[s]: discrete log of red[s]; log[0] is the zero sentinel
     exp: list  # exp[k]: code of g^k; 0 from the sentinel on
+    p: int  # the characteristic
+    r: int  # the degree over F_p
 
     def chi(self):
         """chi[s], the quadratic character of red[s]: the parity of log."""
         sign = [1, -1] * (self.log[0] // 2) + [0]
         return list(map(sign.__getitem__, self.log))
 
-    def _t_logs(self):
-        """(log t^2, log t) for every t in F_q, t = 0 as the sentinel pair."""
-        log, exp = self.log, self.exp
-        return [(log[exp[lt + lt]], lt) for lt in map(log.__getitem__, self.codes)]
-
     def t_sums(self, triples):
         """Per (log a, log b, code c): sum over t in F_q of chi(a t^2 + b t + c),
-        O(q) each; a or b = 0 is the log 0 sentinel, whose sums read 0 from exp."""
-        red, exp, chi, t_logs = self.red, self.exp, self.chi(), self._t_logs()
-        for la, lb, c in triples:
-            s = 0
-            for ltt, lt in t_logs:
-                s += chi[red[exp[la + ltt] + exp[lb + lt]] + c]
-            yield s
+        as a list; a or b = 0 is the log 0 sentinel, read from exp. Every t
+        is enumerated for every triple, in one packed pass over t for all.
+
+        Triple i owns slot i of each plane int, and plane k of an element
+        holds its digit k times p^k (Kronecker packing, digit by digit), so
+        the planes of V = a t^2 + b t + c add up to the index of V in
+        enumeration order. Step number i = 1..q-1 adds theta^j, j the p-adic
+        valuation of i: digit k of t is then i_k - i_(k+1) mod p, and t
+        meets every element once. With D_m = V(t + theta^m) - V(t), a step
+        along theta^j is V += D_j, then D_m += 2a theta^(m+j) (finite
+        differences: no field multiply in the loop). Each is a slotwise add
+        per plane and one bias-and-mask subtraction of p^(k+1). D_m is read
+        only at steps along theta^m, so it is brought up to date only at
+        steps with j >= m; the steps between two of those add -theta^(m-1)
+        to t, so D_m -= 2a theta^(2m-1) first. chi(V) + 1 is read by one
+        bytes.translate of the index's low bytes per value of its higher
+        bytes, which select the slots that table applies to; the results
+        add up in 8-bit slots, moved into the sums every 127 values of t.
+        """
+        triples = list(triples)
+        n = len(triples)
+        if not n:
+            return []
+        p, r, codes, red, log, exp = (
+            self.p, self.r, self.codes, self.red, self.log, self.exp)
+        q, order, ks = len(codes), len(codes) - 1, range(r)
+        # q <= 2^top: a sum before reduction, below 2q, fits the slot
+        fmt = "B" if q < 1 << 7 else "H" if q < 1 << 15 else "Q"
+        width = struct.calcsize(fmt)
+        size, top = n * width, 8 * width - 1
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
+        highs = ones << top
+        mods = [p ** (k + 1) for k in ks]
+        bias = [((1 << top) - mod) * ones for mod in mods]
+
+        def reduce(x, k):  # from below 2 p^(k+1) in every slot
+            return x - ((x + bias[k] & highs) >> top) * mods[k]
+
+        def add(X, Y):
+            for k in ks:
+                X[k] = reduce(X[k] + Y[k], k)
+
+        # V and the D_m at t = 0, c and a theta^(2m) + b theta^m, and the
+        # steps E_s = 2a theta^s, as codes, then as planes
+        ltheta = log[codes[p]] if r > 1 else 0
+        lpow = [s * ltheta % order for s in range(2 * r - 1)]
+        las, lbs, cs = zip(*triples)
+        values = [cs]
+        values += [[red[exp[la + lpow[2 * m]] + exp[lb + lpow[m]]]
+                    for la, lb in zip(las, lbs)] for m in ks]
+        values += [[exp[la + l2] for la in las]
+                   for l2 in ((log[2] + lp) % order for lp in lpow)]
+        scaled = [[0] * len(red) for _ in ks]  # code -> digit k times p^k
+        for i, c in enumerate(codes):
+            for k in ks:
+                scaled[k][c] = i % mods[k] - i % (mods[k] // p)
+
+        def planes(vals):
+            return [int.from_bytes(struct.pack(f"<{n}{fmt}", *map(
+                dig.__getitem__, vals)), "little") for dig in scaled]
+
+        V, *rest = map(planes, values)
+        D, E = rest[:r], rest[r:]
+        # the catch-ups C_m = -E_(2m-1), negated slotwise
+        C = [None] + [[reduce(mod * ones - x, k)
+                       for k, mod, x in zip(ks, mods, E[2 * m - 1])]
+                      for m in range(1, r)]
+
+        chi1 = bytes(x + 1 for x in map(self.chi().__getitem__, codes))
+        high_bytes = ((q - 1).bit_length() - 1) // 8  # those ever nonzero
+        lookups = [(chi1[h:h + 256].ljust(256, b"\0"),
+                    [(i, bytes(v) + b"\xff" + bytes(255 - v)) for i, v in
+                     enumerate((h >> 8).to_bytes(high_bytes, "little"), 1)])
+                   for h in range(0, q, 256)]
+
+        def chi_plus_one():
+            index = V[0]
+            for plane in V[1:]:
+                index += plane
+            index = index.to_bytes(size, "little")
+            low, total = index[::width], 0
+            for table, select in lookups:
+                part = int.from_bytes(low.translate(table), "little")
+                for i, eq in select:
+                    part &= int.from_bytes(
+                        index[i::width].translate(eq), "little")
+                total += part
+            return total
+
+        steps = [0] * (p - 1)
+        for k in range(1, r):
+            steps = (steps + [k]) * (p - 1) + steps
+        sums, acc = [-q] * n, chi_plus_one()
+        for i, j in enumerate(steps, 2):  # i values of t so far
+            for m in range(1, j + 1):
+                add(D[m], C[m])
+            add(V, D[j])
+            for m in range(j + 1):
+                add(D[m], E[m + j])
+            acc += chi_plus_one()
+            if i % 127 == 0 or i == q:  # 127 values of chi + 1 <= 2 fit a byte
+                sums = list(map(operator.add, sums, acc.to_bytes(n, "little")))
+                acc = 0
+        return sums
 
     def row_sums(self, rows):
         """Per (log a, log b): the t-sums of chi(a t^2 + b t + c) for every c,
@@ -194,7 +294,9 @@ class FqTables(NamedTuple):
         chi(v_t + c) + 1 in slot c, so the sum of the q shifted ints holds
         sum_t chi(v_t + c) + q there: q big-int shift-adds per row instead
         of q^2 table reads, every t still enumerated."""
-        red, exp, codes, t_logs = self.red, self.exp, self.codes, self._t_logs()
+        red, log, exp, codes = self.red, self.log, self.exp, self.codes
+        # (log t^2, log t) for every t, t = 0 as the sentinel pair
+        t_logs = [(log[exp[lt + lt]], lt) for lt in map(log.__getitem__, codes)]
         q = len(codes)
         width = -(-(2 * q + 1).bit_length() // 8)
         bits = 8 * width

@@ -8,7 +8,7 @@ verify_quad_sums checks the closed form and the conic bound in bulk
 against brute-force t-sums over every t: FqTables.row_sums gives the q
 sums of each (a, b) row of an exhaustive field at once, and
 FqTables.t_sums, the kernel the direct A_p method in nagao adds up over x,
-gives those of the random triples one at a time.
+gives those of all the random triples of a field in one packed pass over t.
 """
 
 import random
@@ -99,26 +99,26 @@ def standard_field(p, r):
 def _exhaustive_sums(tables):
     """Every (a, b, c) with a != 0, a row of q sums per (a, b) from
     FqTables.row_sums, as ((log a, log b, code c), t-sum) pairs."""
-    codes, _, log, _ = tables
+    codes, log = tables.codes, tables.log
     rows = [(log[a], log[b]) for a in codes[1:] for b in codes]
     for (la, lb), sums in zip(rows, tables.row_sums(rows)):
         yield from zip(((la, lb, c) for c in codes), sums)
 
 
 def _random_sums(tables, rng):
-    """RANDOM_TRIPLES seeded triples with a != 0, one FqTables.t_sums each,
-    as ((log a, log b, code c), t-sum) pairs."""
-    codes, _, log, _ = tables
+    """RANDOM_TRIPLES seeded triples with a != 0, all from one batched
+    FqTables.t_sums, as ((log a, log b, code c), t-sum) pairs."""
+    codes, log = tables.codes, tables.log
     q = len(codes)
     coded = [(log[codes[rng.randrange(1, q)]], log[codes[rng.randrange(q)]],
               codes[rng.randrange(q)]) for _ in range(RANDOM_TRIPLES)]
     return zip(coded, tables.t_sums(coded))
 
 
-def _sweep(tables, p, sums):
+def _sweep(tables, sums):
     """Closed form and conic bound on ((log a, log b, code c), t-sum) pairs
     over F_q, q = len(tables.codes)."""
-    codes, _, log, exp = tables
+    codes, log, exp, p = tables.codes, tables.log, tables.exp, tables.p
     q = len(codes)
     chi = tables.chi()
     four = log[codes[4 % p]]  # constants embed along the prime subfield
@@ -150,7 +150,7 @@ def verify_quad_sums(max_q=343, exhaustive_max_q=49, seed=0):
             sums = _exhaustive_sums(tables)
         else:
             sums = _random_sums(tables, random.Random(seed * 1000003 + q))
-        checked, mism, viol = _sweep(tables, p, sums)
+        checked, mism, viol = _sweep(tables, sums)
         results.append(SweepResult(
             q=q, p=p, r=r,
             mode="exhaustive" if exhaustive else "random",

@@ -2,15 +2,17 @@
 partial sums whose limit is the generic rank.
 
 The direct method, O(q^2), is minus the sum over x of the brute-force
-t-sums of FqTables.t_sums, which the random Legendre sweep checks (the
-exhaustive sweep checks FqTables.row_sums, pinned to t_sums). The analytic
-method collapses each t-sum in closed form to minus q times the sum of chi
-over the roots of D_T mod P, which at a good P are the six prescribed
-r_i = rho_i^2 reduced: six Euler criteria, each one powmod modulo P.factor
-(the builtin pow at residue degree 1). It reads the coefficient tuples of
-ReducedFamily and builds no residue field. At good primes both methods
-give the average -6 exactly; curve_trace and trace_a_t are the FqElem
-reference path the tests check them against.
+t-sums of chi(x^3 t^2 + 2 g(x) t - h(x)), all q of them (the x = 0 one with
+a = 0) from one batched FqTables.t_sums, which the random Legendre sweep
+checks (the exhaustive sweep checks FqTables.row_sums, pinned to t_sums).
+The analytic method collapses each t-sum in closed form to minus q times
+the sum of chi over the roots of D_T mod P, which at a good P are the six
+prescribed r_i = rho_i^2 reduced: six Euler criteria, each one powmod
+modulo P.factor (the builtin pow at residue degree 1). It reads the
+coefficient tuples of ReducedFamily and builds no residue field. At good
+primes both methods give the average -6 exactly, and `nagao ap --method
+both` fails where their sums differ; curve_trace and trace_a_t are the
+FqElem reference path the tests check them against.
 """
 
 import math
@@ -60,10 +62,12 @@ def _reduced(fam, P):
 
 def average_A_p_direct(fam, P):
     """Average of a_t over all fibers: minus the sum over x of the t-sums
-    of chi(x^3 t^2 + 2 g(x) t - h(x)), each by brute force. O(q^2)."""
+    of chi(x^3 t^2 + 2 g(x) t - h(x)), each by brute force, all q in one
+    FqTables.t_sums. O(q^2)."""
     reduced = _reduced(fam, P)
     fld = P.residue_field
-    codes, _, log, _ = tables = fld.tables()
+    tables = fld.tables()
+    codes, log = tables.codes, tables.log
     code = dict(zip(fld.elements(), codes))
     g, minus_h = Poly(map(fld.elem, reduced.g)), -Poly(map(fld.elem, reduced.h))
     total = -sum(tables.t_sums(

@@ -175,6 +175,39 @@ def test_nagao_ap_good(runner, family_file):
     assert res.output.count("A_p=-6") == 2
 
 
+def test_nagao_ap_both_fails_where_the_methods_disagree(runner, family_file,
+                                                      monkeypatch, capsys):
+    # both lines print, then the run ends with one error line naming the
+    # ideal and both sums, through the console entry point as well
+    from rankforge import cli, nagao
+    from rankforge.errors import InternalIdentityFailure
+
+    real = nagao.average_A_p_direct
+
+    def off_by_one(fam, P):  # the sum only; A_p stays -6
+        res = real(fam, P)
+        return res._replace(sum_a_t=res.sum_a_t + 1)
+
+    monkeypatch.setattr(nagao, "average_A_p_direct", off_by_one)
+    args = ["nagao", "ap", "--family", family_file, "--p", "37",
+            "--method", "both"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, InternalIdentityFailure)
+    assert res.output == (
+        "(37, 0,1): norm=37 method=direct sum_a_t=-221 A_p=-6 good=True\n"
+        "(37, 0,1): norm=37 method=analytic sum_a_t=-222 A_p=-6 good=True\n")
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+    monkeypatch.setattr(cli.sys, "argv", ["rankforge", *args])
+    with pytest.raises(SystemExit) as exit_:
+        cli.entrypoint()
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == res.output
+    assert err == ("error: (37, 0,1): direct sum_a_t=-221 but "
+                   "analytic sum_a_t=-222\n")
+
+
 def test_nagao_ap_large_prime_analytic(runner, family_file, monkeypatch):
     # q near 10^6: the analytic count needs no O(q) tables
     def refuse(self):

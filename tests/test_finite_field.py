@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from rankforge.legendre import (
     QuadSumInput,
     odd_prime_powers,
     quad_sum_brute,
+    quad_sum_closed,
     standard_field,
 )
 
@@ -204,19 +206,68 @@ def test_tables_are_built_per_call():
     assert vars(fld) == kept
 
 
-@pytest.mark.parametrize("p, r", [(3, 2), (5, 2)], ids=["9", "25"])
+def _check_t_sums(fld, triples):
+    """t_sums of one batch of (a, b, c) element indices against the FqElem
+    oracle quad_sum_brute, triple by triple."""
+    t = fld.tables()
+    elems = enumerate_elements(fld)
+    sums = t.t_sums((t.log[t.codes[a]], t.log[t.codes[b]], t.codes[c])
+                    for a, b, c in triples)
+    assert isinstance(sums, list)
+    for (a, b, c), s in zip(triples, sums, strict=True):
+        inp = QuadSumInput(elems[a], elems[b], elems[c])
+        assert s == quad_sum_brute(inp), (a, b, c)
+
+
+@pytest.mark.parametrize("p, r", [(3, 1), (3, 2), (5, 2), (3, 3)],
+                         ids=["3", "9", "25", "27"])
 def test_t_sums_match_the_fqelem_oracle_on_every_triple(p, r):
     # a = 0 never reaches the Legendre sweep, but the direct A_p method
     # passes it at x = 0, so zero coefficients are covered here too
     fld = standard_field(p, r)
+    _check_t_sums(fld, list(itertools.product(range(fld.q), repeat=3)))
+
+
+@pytest.mark.parametrize("p, r", [(257, 1), (17, 2), (7, 3)],
+                         ids=["257", "289", "343"])
+def test_t_sums_match_the_fqelem_oracle_on_seeded_triples(p, r):
+    # indices above 255 take two translate tables, selected by the high
+    # byte of the index; the first triples put a zero in each place
+    fld = standard_field(p, r)
+    rng = random.Random(p)
+    triples = [(0, 1, 2), (3, 0, 4), (5, 6, 0), (0, 0, 7), (0, 0, 0)]
+    triples += [tuple(rng.randrange(fld.q) for _ in range(3))
+                for _ in range(200)]
+    _check_t_sums(fld, triples)
+
+
+def test_t_sums_of_no_triples_and_of_one():
+    t = standard_field(3, 2).tables()
+    assert t.t_sums([]) == [] and t.t_sums(iter(())) == []
+    # a = 1, b = 2, c = 1: (t + 1)^2 is a nonzero square at all but one t
+    assert t.t_sums([(t.log[1], t.log[2], 1)]) == [8]
+
+
+@pytest.mark.parametrize("p", [127, 131])
+def test_t_sums_at_the_slot_width_edge(p):
+    # q = 127 is the largest q in 8-bit slots, 131 the smallest in 16-bit
+    # ones: every c of a square a = 1 and of a nonsquare a, b = 2, which
+    # hold the extreme sums q - 1 and -(q - 1)
+    fld = standard_field(p, 1)
+    nonsquare = next(a for a in range(2, p) if fld.chi(fld.elem(a)) < 0)
+    _check_t_sums(fld, [(a, 2, c) for a in (1, nonsquare) for c in range(p)])
+
+
+def test_t_sums_in_64_bit_slots():
+    # q >= 2^15 no longer fits 16-bit slots; closed form as the oracle
+    p = 32771
+    fld = standard_field(p, 1)
     t = fld.tables()
-    elems = enumerate_elements(fld)
-    triples = list(itertools.product(range(fld.q), repeat=3))
-    sums = t.t_sums((t.log[t.codes[a]], t.log[t.codes[b]], t.codes[c])
-                    for a, b, c in triples)
-    for (a, b, c), s in zip(triples, sums, strict=True):
-        inp = QuadSumInput(elems[a], elems[b], elems[c])
-        assert s == quad_sum_brute(inp), (a, b, c)
+    coeffs = [(1, 2, 1), (3, 0, p - 1), (p - 1, 7, 12345)]
+    sums = t.t_sums((t.log[a], t.log[b], c) for a, b, c in coeffs)
+    assert sums == [quad_sum_closed(QuadSumInput(*map(fld.elem, abc)))
+                    for abc in coeffs]
+    assert sums[0] == p - 1
 
 
 @pytest.mark.parametrize("p, r", [(3, 1), (3, 2), (5, 2), (3, 3)],
