@@ -26,7 +26,8 @@ class DivisionByZero(RankforgeError, ZeroDivisionError):
 # polynomials
 
 class EvenCharacteristic(RankforgeError):
-    """p = 2 is rejected everywhere in this package."""
+    """A residue field O_K/P above 2 was asked for; Dedekind factorization
+    and enumeration handle p = 2, but no residue field is built there."""
 
 
 class ZeroPolynomial(RankforgeError):

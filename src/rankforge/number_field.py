@@ -6,12 +6,14 @@ set, which defaults to the primes dividing disc(m). A caller's own list may
 leave out exactly the p | disc(m) where Z[theta] is p-maximal; NumberField
 refuses any other list (is_p_maximal, Dedekind's criterion).
 
-Enumeration up to a norm bound X factors only what can have norm <= X: the
-squarefree split runs only at p | disc(m), the distinct-degree split stops
-at the first degree i with p^i > X (so for p > sqrt(X) it is one power
-x^p mod m and one gcd), and only the products it keeps are split into
-irreducibles. landau_sum counts the norms from those products and builds no
-ideals. prime_ideals_above(K, p) still factors m mod p completely.
+Every caller splits m mod p through poly._split, at every prime p, 2
+included. Enumeration up to a norm bound X factors only what can have
+norm <= X: the squarefree split runs only at p | disc(m), the
+distinct-degree split stops at the first degree i with p^i > X (so for
+p > sqrt(X) it is one power x^p mod m and one gcd), and only the products
+it keeps are split into irreducibles. landau_sum counts the norms from
+those products and builds no ideals. prime_ideals_above(K, p) factors
+m mod p completely (factor_mod_p).
 
 Reduction mod P is one integer linear map on ints: a batch of elements is
 written as integer coordinates over one common denominator d
@@ -42,10 +44,9 @@ from .errors import (
 from .finite_field import FqElem, FqField
 from .poly import (
     Poly,
-    _ddf,
     _edf,
-    _factor_quadratic,
     _sff,
+    _split,
     discriminant,
     factor_mod_p,
     poly_to_str,
@@ -114,9 +115,8 @@ class NumberField:
                 raise RankforgeError(f"minimal polynomial has rational root {r}")
             return
         for p in _CERTIFY_PRIMES:
-            if self.disc_m % p == 0:
-                continue
-            if len(factor_mod_p(self.m, p)) == 1:
+            if self.disc_m % p and _modpoly.is_irreducible(
+                    [c % p for c in self.m], p):
                 return
         if not asserted:
             raise NotKnownIrreducible(
@@ -294,43 +294,18 @@ def _residue_field(p, modulus):
 
 def prime_ideals_above(K, p):
     """The primes of Z[theta] above a non-excluded rational prime p."""
-    if K.n == 1:
-        return [PrimeIdeal(p=p, factor=Poly([0, 1]), f=1, e=1, norm=p)]
-    # factor_mod_p rejects p = 2; the degree is tiny, so split that by hand
-    factors = _factor_mod_two(K.m) if p == 2 else factor_mod_p(K.m_poly, p)
     return [PrimeIdeal(p=p, factor=fac, f=fac.degree, e=e, norm=p ** fac.degree)
-            for fac, e in factors]
+            for fac, e in factor_mod_p(K.m, p)]
 
 
 def _split_bounded(K, X):
     """(p, product, d, e) for every non-excluded p <= X and every product
     of the distinct irreducible factors of m mod p that have degree d,
-    multiplicity e and norm p^d <= X; no factor of larger norm is split
-    out.
-
-    Degree 1, degree 2 (the quadratic formula) and p = 2 give irreducible
-    factors at once. Above that, m mod p is squarefree unless p | disc(m),
-    which only a user-supplied excluded_primes lets through, so only then
-    does the squarefree split run; _ddf stops at the first degree i with
-    p^i > X.
-    """
+    multiplicity e and norm p^d <= X (poly._split); no factor of larger
+    norm is split out."""
     for p in sieve(X):
-        if p in K.excluded_primes:
-            continue
-        f = [c % p for c in K.m]
-        if K.n == 1:
-            parts = [([0, 1], 1, 1)]
-        elif p == 2:
-            parts = [(list(g.coeffs), g.degree, e)
-                     for g, e in _factor_mod_two(K.m)]
-        elif K.n == 2:
-            parts = [(g, len(g) - 1, e) for g, e in _factor_quadratic(f, p)]
-        else:
-            squarefree = _sff(f, p) if K.disc_m % p == 0 else [(f, 1)]
-            parts = [(prod, d, e) for sf, e in squarefree
-                     for prod, d in _ddf(sf, p, X)]
-        for prod, d, e in parts:
-            if p ** d <= X:
+        if p not in K.excluded_primes:
+            for prod, d, e in _split([c % p for c in K.m], p, X, K.disc_m):
                 yield p, prod, d, e
 
 
@@ -363,26 +338,6 @@ def is_p_maximal(m, p):
     th = (Poly(t) * Poly(h)).coeffs
     F = _modpoly.trim([(c - d) // p % p for c, d in zip(m, th)])
     return len(_modpoly.gcd(_modpoly.gcd(F, t, p), h, p)) == 1
-
-
-def _factor_mod_two(m):
-    """(factor, multiplicity) pairs of m mod 2 by trial division with every
-    monic polynomial over F_2, lowest degree first."""
-    g = _modpoly.trim([c % 2 for c in m])
-    factors = {}
-    d = 1
-    while len(g) > 1:
-        for code in range(2 ** d):
-            cand = [(code >> i) & 1 for i in range(d)] + [1]
-            q, r = _modpoly.divmod_(g, cand, 2)
-            if not r:
-                factors[tuple(cand)] = factors.get(tuple(cand), 0) + 1
-                g = q
-                break
-        else:
-            d += 1
-    return [(Poly(list(key)), factors[key])
-            for key in sorted(factors, key=lambda k: (len(k), k[::-1]))]
 
 
 def integer_coords(*elems):

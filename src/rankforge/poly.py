@@ -3,7 +3,11 @@
 Poly is duck-typed over its coefficients: anything with ring operators,
 truthiness for zero-testing, and / for leading-coefficient inversion works
 (Fraction, FqElem, KElem). Factorization over prime fields operates on
-plain int coefficient lists.
+plain int coefficient lists, and one function, _split, decides how m mod p
+is split for every Dedekind caller (factor_mod_p, prime_ideals_above,
+enumeration and landau_sum): the quadratic formula for a quadratic at odd
+p, else the squarefree, distinct-degree and equal-degree splits, p = 2
+included.
 """
 
 import math
@@ -13,11 +17,11 @@ from fractions import Fraction
 from . import _modpoly
 from .errors import (
     DivisionByZero,
-    EvenCharacteristic,
+    InvalidArgument,
     ZeroLeadingCoefficient,
     ZeroPolynomial,
 )
-from .primes import sqrt_mod_p
+from .primes import is_prime, sqrt_mod_p
 
 
 class Poly:
@@ -255,14 +259,16 @@ def _ddf(f, p, max_norm=math.inf):
 
 
 def _edf(f, d, p):
-    """Equal-degree split of f, a product of irreducibles of degree d, for
-    odd p. A product of two linear factors goes to the quadratic formula;
-    anything else to Cantor-Zassenhaus, whose generator is seeded from
+    """Equal-degree split of f, a product of irreducibles of degree d. At
+    odd p a product of two linear factors goes to the quadratic formula and
+    anything else to Cantor-Zassenhaus, gcd(a^((p^d - 1)/2) - 1, f); at
+    p = 2 the split is gcd(a + a^2 + ... + a^(2^(d-1)), f), the trace to
+    F_2 (von zur Gathen-Gerhard, ch. 14). The generator of a is seeded from
     (p, f). The order of the factors is left to the caller's sort."""
     n = len(f) - 1
     if n == d:
         return [f]
-    if d == 1 and n == 2:
+    if d == 1 and n == 2 and p > 2:
         return [g for g, _ in _factor_quadratic(f, p)]
     e = (p ** d - 1) // 2
     rng = random.Random(hash((p, tuple(f))) ^ 0x5EED)
@@ -271,7 +277,13 @@ def _edf(f, d, p):
         _modpoly.trim(a)
         if len(a) <= 1:
             continue
-        b = _modpoly.sub(_modpoly.powmod(a, e, f, p), [1], p)
+        if p == 2:
+            b = s = a
+            for _ in range(d - 1):
+                s = _modpoly.mulmod(s, s, f, 2)
+                b = _modpoly.add(b, s, 2)
+        else:
+            b = _modpoly.sub(_modpoly.powmod(a, e, f, p), [1], p)
         g = _modpoly.gcd(b, f, p)
         if 1 < len(g) < len(f):
             rest = _modpoly.divmod_(f, g, p)[0]
@@ -279,8 +291,8 @@ def _edf(f, d, p):
 
 
 def _factor_quadratic(f, p):
-    """Monic quadratic over F_p via the discriminant; avoids the generic path
-    so Dedekind enumeration over quadratic fields stays fast."""
+    """Monic quadratic over F_p, p odd, via the discriminant; avoids the
+    generic path so Dedekind enumeration over quadratic fields stays fast."""
     c0, b = f[0], f[1]
     disc = (b * b - 4 * c0) % p
     if disc == 0:
@@ -297,41 +309,39 @@ def _factor_quadratic(f, p):
     return [([roots[0], 1], 1), ([roots[1], 1], 1)]
 
 
+def _split(f, p, max_norm=math.inf, disc=0):
+    """Dedekind's split of monic f over F_p: (product, d, e) for every
+    product of the distinct irreducible factors of degree d and
+    multiplicity e with norm p^d <= max_norm; _edf splits a product into
+    its irreducibles. A quadratic at odd p goes to the quadratic formula.
+    Anything else is squarefree unless p | disc, so the squarefree split
+    runs only there (disc = 0, the default, when it is not known), and _ddf
+    stops at the first degree whose norm passes max_norm."""
+    if len(f) == 3 and p > 2:
+        return [(g, len(g) - 1, e) for g, e in _factor_quadratic(f, p)
+                if p ** (len(g) - 1) <= max_norm]
+    squarefree = _sff(f, p) if disc % p == 0 else [(f, 1)]
+    return [(prod, d, e) for sf, e in squarefree
+            for prod, d in _ddf(sf, p, max_norm)]
+
+
 def factor_mod_p(m, p):
-    """Factor a monic integer polynomial over F_p.
+    """Factor a monic integer polynomial over F_p, for any prime p.
 
     Returns a list of (Poly with int coefficients in [0, p), multiplicity),
-    sorted by (degree, coefficients). Deterministic: the Cantor-Zassenhaus
-    generator of the equal-degree split is seeded from the factor being
-    split. Quadratics are split by the quadratic formula; every other
-    degree, linear included, goes through squarefree, distinct-degree and
-    equal-degree factorization. The squarefree step ends at once when
-    gcd(f, f') = 1, as at every prime not dividing disc(m).
-
-    Every factor is found, whatever its degree: the irreducibility
-    certificate and prime_ideals_above need them all. Prime-ideal
-    enumeration up to a norm bound does not call this; it runs the
-    squarefree step only at p | disc(m) and _ddf with max_norm.
+    sorted by (degree, coefficients): every factor of _split, split into
+    irreducibles by _edf. Deterministic: the generator of the equal-degree
+    split is seeded from the factor being split. Raises InvalidArgument
+    when p is not a prime.
     """
-    if p == 2:
-        raise EvenCharacteristic("p = 2 is rejected")
-    if isinstance(m, Poly):
-        coeffs = [int(c) for c in m.coeffs]
-    else:
-        coeffs = [int(c) for c in m]
-    f = _modpoly.trim([c % p for c in coeffs])
+    if not (isinstance(p, int) and is_prime(p)):
+        raise InvalidArgument(f"p must be a prime, got {p!r}")
+    coeffs = m.coeffs if isinstance(m, Poly) else m
+    f = _modpoly.trim([int(c) % p for c in coeffs])
     if len(f) < 2:
         raise ZeroPolynomial("need degree >= 1")
-    f = _modpoly.monic(f, p)
-    if len(f) == 3:
-        fac = _factor_quadratic(f, p)
-        return [(Poly(g), e) for g, e in
-                sorted(fac, key=lambda t: (len(t[0]), t[0][::-1]))]
-    result = []
-    for sf, mult in _sff(f, p):
-        for prod, d in _ddf(sf, p):
-            for irr in _edf(prod, d, p):
-                result.append((irr, mult))
+    result = [(irr, e) for prod, d, e in _split(_modpoly.monic(f, p), p)
+              for irr in _edf(prod, d, p)]
     result.sort(key=lambda t: (len(t[0]), t[0][::-1]))
     return [(Poly(g), e) for g, e in result]
 

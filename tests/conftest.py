@@ -59,6 +59,23 @@ def fam_cbrt2():
     return construct_family(FamilySpec(K=K, rho=tuple(rho), alpha=K.one))
 
 
+# n = 1 .. 5; with empty exclusions every p | disc(m) takes the ramified
+# paths: 2 (Q(i), x^3 - 2, x^4 - 2 = x^4 mod 2), 3 (x^3 - 2), 5 (Q(sqrt 5)),
+# 23 (x^3 - x + 1) and 19 and 151 (x^5 - x - 1)
+BOUNDED_FIELDS = [[0, 1], [1, 0, 1], [-1, -1, 1], [-2, 0, 0, 1], [1, -1, 0, 1],
+                  [-2, 0, 0, 0, 1], [-1, -1, 0, 0, 0, 1]]
+# p^2 - 1 and p^2 at p = 2, 3, 5, 11, 19 and 23; p^3 at p = 2, 3, 5 and 11
+BOUNDARY_NORMS = [1, 2, 3, 4, 8, 9, 24, 25, 27, 120, 121, 125, 360, 361, 528,
+                  529, 1331]
+
+
+def bounded_fields():
+    """Each of BOUNDED_FIELDS with its default exclusions and with none."""
+    for m in BOUNDED_FIELDS:
+        yield NumberField(m)
+        yield NumberField(m, excluded_primes=[])
+
+
 def ideal_above(K, p, X=None):
     """First prime ideal above p with norm <= X (or any norm)."""
     from rankforge import enumerate_prime_ideals

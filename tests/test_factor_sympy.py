@@ -1,17 +1,19 @@
-"""factor_mod_p and the Dedekind ideal lists against sympy's independent
-factorization over F_p (factor_list with modulus=p), and Dedekind's
-maximality criterion against sympy's round-two integral basis."""
+"""factor_mod_p, the Dedekind ideal lists and norm-bounded enumeration
+against sympy's independent factorization over F_p (factor_list with
+modulus=p), and Dedekind's maximality criterion against sympy's round-two
+integral basis."""
 
 import math
 import random
 
 import pytest
 
-from rankforge import NumberField, factor_mod_p
+from rankforge import NumberField, enumerate_prime_ideals, factor_mod_p
 from rankforge._modpoly import mul
 from rankforge._modpoly import prime_divisors
 from rankforge.number_field import is_p_maximal, prime_ideals_above
 from rankforge.primes import sieve
+from conftest import BOUNDARY_NORMS, bounded_fields
 
 sympy = pytest.importorskip("sympy")
 
@@ -65,19 +67,47 @@ def test_factor_mod_p_matches_sympy_p_th_power():
         assert ours(coeffs, p) == sympy_factors(coeffs, p)
 
 
+def test_factor_mod_p_matches_sympy_at_2():
+    # p = 2 splits equal degrees by the trace map; x(x + 1), Phi_7 mod 2 =
+    # (x^3 + x + 1)(x^3 + x^2 + 1) and (x^4 + x + 1)(x^4 + x^3 + 1) are
+    # products of equal-degree factors
+    rng = random.Random(2)
+    cases = [[0, 1, 1], [1] * 7, mul([1, 1, 0, 0, 1], [1, 0, 0, 1, 1], 2)]
+    cases += [random_monic(rng, 2, rng.randint(1, 10)) for _ in range(300)]
+    for coeffs in cases:
+        assert ours(coeffs, 2) == sympy_factors(coeffs, 2), coeffs
+
+
 @pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [-2, 0, 0, 0, 1],
-                                      [-1, -1, 0, 0, 0, 1]],
-                         ids=["x3-2", "x4-2", "x5-x-1"])
+                                      [-1, -1, 0, 0, 0, 1], [2, 1, 1],
+                                      [1, 1, 1, 1, 1, 1, 1]],
+                         ids=["x3-2", "x4-2", "x5-x-1", "sqrt-7", "zeta7"])
 def test_prime_ideals_above_match_sympy(min_poly):
+    # 2 splits in Q(sqrt -7) into two ideals of degree 1, and in Q(zeta_7)
+    # into two of degree 3
     K = NumberField(min_poly)
     rng = random.Random(len(min_poly))
-    ps = [p for p in PRIMES if p not in K.excluded_primes]
+    ps = [p for p in sieve(50000) if p not in K.excluded_primes]
     for p in sorted(rng.sample(ps, 60) + ps[:10]):
         got = [(P.p, list(P.factor.coeffs), P.f, P.e, P.norm)
                for P in prime_ideals_above(K, p)]
         want = [(p, g, len(g) - 1, e, p ** (len(g) - 1))
                 for g, e in sympy_factors(min_poly, p)]
         assert got == want, p
+
+
+def test_enumeration_matches_sympy():
+    # enumeration and factor_mod_p share poly._split, so this is the
+    # reference that shares no code with enumeration
+    top = max(BOUNDARY_NORMS)
+    for K in bounded_fields():
+        every = sorted((p ** (len(g) - 1), p, g, e) for p in sieve(top)
+                       if p not in K.excluded_primes
+                       for g, e in sympy_factors(K.m, p))
+        for X in BOUNDARY_NORMS:
+            got = [(P.norm, P.p, list(P.factor.coeffs), P.e)
+                   for P in enumerate_prime_ideals(K, X)]
+            assert got == [t for t in every if t[0] <= X], (K, X)
 
 
 def test_dedekind_criterion_matches_sympy_round_two():

@@ -19,9 +19,9 @@ from rankforge.errors import (
 )
 from rankforge.finite_field import FqElem
 from rankforge.number_field import is_p_maximal, prime_ideals_above
-from rankforge.poly import Poly, factor_mod_p
+from rankforge.poly import factor_mod_p
 from rankforge.primes import sieve
-from conftest import ideal_above
+from conftest import BOUNDARY_NORMS, bounded_fields, ideal_above
 
 
 def test_gauss_ideals_up_to_10(K_gauss):
@@ -165,42 +165,19 @@ def test_landau_gauss_25(K_gauss):
     assert count == 7
 
 
-# n = 1 .. 5; with empty exclusions every p | disc(m) takes the ramified
-# paths: 2 (Q(i), x^3 - 2, x^4 - 2 = x^4 mod 2), 3 (x^3 - 2), 5 (Q(sqrt 5)),
-# 23 (x^3 - x + 1) and 19 and 151 (x^5 - x - 1)
-BOUNDED_FIELDS = [[0, 1], [1, 0, 1], [-1, -1, 1], [-2, 0, 0, 1], [1, -1, 0, 1],
-                  [-2, 0, 0, 0, 1], [-1, -1, 0, 0, 0, 1]]
-# p^2 - 1 and p^2 at p = 2, 3, 5, 11, 19 and 23; p^3 at p = 2, 3, 5 and 11
-BOUNDARY_NORMS = [1, 2, 3, 4, 8, 9, 24, 25, 27, 120, 121, 125, 360, 361, 528,
-                  529, 1331]
-
-
-def _bounded_fields():
-    for m in BOUNDED_FIELDS:
-        yield NumberField(m)
-        yield NumberField(m, excluded_primes=[])
-
-
 def _reference_ideals(K, X):
     """(norm, p, factor, f, e) of every prime of norm <= X, from a complete
     factorization of m at every non-excluded p <= X."""
     out = []
     for p in sieve(X):
-        if p in K.excluded_primes:
-            continue
-        if K.n == 1:
-            factors = [(Poly([0, 1]), 1)]
-        elif p == 2:  # factor_mod_p rejects p = 2
-            factors = [(P.factor, P.e) for P in prime_ideals_above(K, 2)]
-        else:
-            factors = factor_mod_p(K.m, p)
-        out += [(p ** g.degree, p, g.coeffs, g.degree, e) for g, e in factors
-                if p ** g.degree <= X]
+        if p not in K.excluded_primes:
+            out += [(p ** g.degree, p, g.coeffs, g.degree, e)
+                    for g, e in factor_mod_p(K.m, p) if p ** g.degree <= X]
     return sorted(out)
 
 
 def test_enumeration_matches_complete_factorization():
-    for K in _bounded_fields():
+    for K in bounded_fields():
         for X in BOUNDARY_NORMS:
             got = [(P.norm, P.p, P.factor.coeffs, P.f, P.e)
                    for P in enumerate_prime_ideals(K, X)]
@@ -210,7 +187,7 @@ def test_enumeration_matches_complete_factorization():
 def test_landau_sum_counts_the_enumerated_norms_exactly():
     # landau_sum builds no ideals; its sum must still be the exactly rounded
     # sum of math.log(N(P)) over the enumerated ideals, to the last bit
-    for K in _bounded_fields():
+    for K in bounded_fields():
         for X in BOUNDARY_NORMS:
             logs = [math.log(P.norm) for P in enumerate_prime_ideals(K, X)]
             total = math.fsum(logs)
@@ -228,10 +205,10 @@ def test_norm_bound_cuts_distinct_degree_split(monkeypatch):
     # gcd(m, m') are skipped. Distinct-degree steps are the powmods to the
     # exponent p; equal-degree splitting raises to (p^d - 1)/2.
     from rankforge import _modpoly
-    from rankforge import number_field
+    from rankforge import poly
 
     steps_at, sff_at = [], []
-    powmod, sff = _modpoly.powmod, number_field._sff
+    powmod, sff = _modpoly.powmod, poly._sff
 
     def counting_powmod(f, e, m, p):
         if e == p:
@@ -243,7 +220,7 @@ def test_norm_bound_cuts_distinct_degree_split(monkeypatch):
         return sff(f, p)
 
     monkeypatch.setattr(_modpoly, "powmod", counting_powmod)
-    monkeypatch.setattr(number_field, "_sff", counting_sff)
+    monkeypatch.setattr(poly, "_sff", counting_sff)
     X = 2000
     large = [p for p in sieve(X) if p * p > X]
     K = NumberField([-2, 0, 0, 0, 1])

@@ -4,13 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rankforge import Poly, expand_from_roots, factor_mod_p, make_field, roots_in_fq
+from rankforge import (
+    NumberField,
+    Poly,
+    expand_from_roots,
+    factor_mod_p,
+    make_field,
+    roots_in_fq,
+)
 from rankforge._modpoly import is_irreducible
 from rankforge.errors import (
-    EvenCharacteristic,
+    InvalidArgument,
     ZeroLeadingCoefficient,
     ZeroPolynomial,
 )
+from rankforge.number_field import prime_ideals_above
 from rankforge.poly import (
     discriminant,
     fraction_from_str,
@@ -99,9 +107,12 @@ def test_factor_ramified():
     assert [(f.coeffs, e) for f, e in facs] == [((2, 1), 2)]
 
 
-def test_factor_rejects_p2():
-    with pytest.raises(EvenCharacteristic):
-        factor_mod_p([1, 0, 1], 2)
+@pytest.mark.parametrize("p", [9, 15, 1, 0, -3])
+def test_factor_rejects_non_prime_p(p):
+    with pytest.raises(InvalidArgument, match=f"got {p}$"):
+        factor_mod_p([-2, 0, 0, 1], p)
+    with pytest.raises(InvalidArgument, match=f"got {p}$"):
+        prime_ideals_above(NumberField([-1, -1, 1]), p)
 
 
 def test_factor_builds_a_generator_only_to_split(monkeypatch):
