@@ -5,13 +5,19 @@ class RankforgeError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(RankforgeError):
+    """The caller's input is malformed or out of range; raised before any
+    work. Every error that blames the input subclasses it, and the CLI
+    exits 2 on it (1 on any other RankforgeError)."""
+
+
 # finite fields
 
-class CompositeCharacteristic(RankforgeError):
+class CompositeCharacteristic(InvalidArgument):
     """Characteristic is not an odd prime."""
 
 
-class ReducibleModulus(RankforgeError):
+class ReducibleModulus(InvalidArgument):
     """Field modulus factors over the prime field."""
 
 
@@ -44,21 +50,21 @@ class DenominatorNotInvertible(RankforgeError):
     """A coefficient denominator is divisible by the residue characteristic."""
 
 
-class NotKnownIrreducible(RankforgeError):
+class NotKnownIrreducible(InvalidArgument):
     """Minimal polynomial could not be certified irreducible over Q."""
 
 
 # family construction
 
-class RepeatedRoot(RankforgeError):
+class RepeatedRoot(InvalidArgument):
     """Two of the six requested roots coincide."""
 
 
-class ZeroRoot(RankforgeError):
+class ZeroRoot(InvalidArgument):
     """A requested root is zero."""
 
 
-class ZeroAlpha(RankforgeError):
+class ZeroAlpha(InvalidArgument):
     """The leading-coefficient square root is zero."""
 
 
@@ -73,9 +79,3 @@ class BadPrime(RankforgeError):
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
-
-
-# arguments
-
-class InvalidArgument(RankforgeError):
-    """An argument is malformed or out of range; raised before any work."""

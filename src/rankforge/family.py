@@ -14,6 +14,7 @@ from typing import NamedTuple
 from .errors import (
     BadPrime,
     InternalIdentityFailure,
+    InvalidArgument,
     RepeatedRoot,
     ZeroAlpha,
     ZeroRoot,
@@ -31,7 +32,7 @@ class FamilySpec:
 
     def __post_init__(self):
         if len(self.rho) != 6:
-            raise ValueError("exactly six roots are required")
+            raise InvalidArgument(f"a family needs six rho, got {len(self.rho)}")
 
 
 def elementary_symmetric(values, one):

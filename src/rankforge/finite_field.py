@@ -29,6 +29,7 @@ from .errors import (
     FieldMismatch,
     ReducibleModulus,
 )
+from .poly import int_coeffs, poly_to_str
 from .primes import is_prime
 
 
@@ -411,11 +412,11 @@ def make_field(p, modulus):
     the modulus, reduced mod p, monic and irreducible."""
     if p == 2 or not is_prime(p):
         raise CompositeCharacteristic(f"{p} is not an odd prime")
-    mod = _modpoly.trim([c % p for c in modulus])
+    mod = _modpoly.trim([c % p for c in int_coeffs(modulus, "modulus")])
     if len(mod) < 2 or mod[-1] != 1:
         raise ReducibleModulus("modulus must be monic of degree >= 1")
     if not _modpoly.is_irreducible(mod, p):
-        raise ReducibleModulus(f"modulus {mod} factors over F_{p}")
+        raise ReducibleModulus(f"modulus {poly_to_str(mod)} factors over F_{p}")
     return FqField(p, mod)
 
 

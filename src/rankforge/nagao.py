@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _modpoly
-from .errors import BadPrime, InvalidArgument, RankforgeError
+from .errors import BadPrime, InvalidArgument
 from .family import fiber_polynomial, is_good_prime, reduce_family
 from .number_field import enumerate_prime_ideals
 from .poly import Poly
@@ -111,7 +111,7 @@ def average_A_p(fam, P, method="analytic"):
         return average_A_p_direct(fam, P)
     if method == "analytic":
         return average_A_p_analytic(fam, P)
-    raise RankforgeError(f"unknown method {method!r}")
+    raise InvalidArgument(f"unknown method {method!r}")
 
 
 class RankSeriesRow(NamedTuple):

@@ -49,6 +49,7 @@ from .poly import (
     _split,
     discriminant,
     factor_mod_p,
+    int_coeffs,
     poly_to_str,
     resultant,
     xgcd,
@@ -62,11 +63,14 @@ class NumberField:
     """K = Q(theta) for a monic irreducible integer polynomial m(theta)."""
 
     def __init__(self, min_poly, excluded_primes=None, assert_irreducible=False):
-        coeffs = [int(c) for c in min_poly]
+        if not isinstance(assert_irreducible, bool):
+            raise InvalidArgument(
+                f"assert_irreducible must be a bool, got {assert_irreducible!r}")
+        coeffs = int_coeffs(min_poly, "minimal polynomial")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         if len(coeffs) < 2 or coeffs[-1] != 1:
-            raise RankforgeError("minimal polynomial must be monic, degree >= 1")
+            raise InvalidArgument("minimal polynomial must be monic, degree >= 1")
         self.m = tuple(coeffs)
         self.n = len(coeffs) - 1
         self.m_poly = Poly([Fraction(c) for c in coeffs])
@@ -74,25 +78,29 @@ class NumberField:
         assert disc.denominator == 1
         self.disc_m = int(disc)
         if self.disc_m == 0:
-            raise RankforgeError("minimal polynomial is not squarefree")
+            raise InvalidArgument("minimal polynomial is not squarefree")
         self._certify_irreducible(assert_irreducible)
         if excluded_primes is None:
-            excluded_primes = _modpoly.prime_divisors(abs(self.disc_m))
+            self.excluded_primes = frozenset(
+                _modpoly.prime_divisors(abs(self.disc_m)))
         else:
-            excluded_primes = list(excluded_primes)
-            self._check_excluded(excluded_primes)
-        self.excluded_primes = frozenset(excluded_primes)
+            self.excluded_primes = self._checked_excluded(excluded_primes)
 
-    def _check_excluded(self, excluded):
-        """Refuse a user list of excluded primes that holds anything but
-        primes, or that leaves out a p | disc(m) where Z[theta] is not
-        maximal: Dedekind's factorization mislabels the primes above it.
-        disc(m) = [O_K : Z[theta]]^2 disc(K), so only a p with p^2 | disc(m)
-        needs the criterion."""
-        if not all(isinstance(p, int) and not isinstance(p, bool)
-                   and is_prime(p) for p in excluded):
+    def _checked_excluded(self, given):
+        """A user list of excluded primes as a frozenset. Refuse anything
+        but an iterable of primes, and a list that leaves out a p | disc(m)
+        where Z[theta] is not maximal: Dedekind's factorization mislabels
+        the primes above it. disc(m) = [O_K : Z[theta]]^2 disc(K), so only
+        a p with p^2 | disc(m) needs the criterion."""
+        try:
+            excluded = frozenset(given)
+        except TypeError:  # not iterable, or holds an unhashable value
+            excluded = None
+        if excluded is None or not all(
+                isinstance(p, int) and not isinstance(p, bool) and is_prime(p)
+                for p in excluded):
             raise InvalidArgument(
-                f"excluded_primes must be a list of primes, got {excluded!r}")
+                f"excluded_primes must be a list of primes, got {given!r}")
         kept = [p for p in _modpoly.prime_divisors(abs(self.disc_m))
                 if p not in excluded and self.disc_m % (p * p) == 0
                 and not is_p_maximal(self.m, p)]
@@ -101,6 +109,7 @@ class NumberField:
                 f"excluded_primes leaves out {', '.join(map(str, kept))}, "
                 f"where Z[theta] is not maximal (Dedekind's criterion; "
                 f"disc(m) = {self.disc_m})")
+        return excluded
 
     def _certify_irreducible(self, asserted):
         if self.n == 1:
@@ -108,11 +117,11 @@ class NumberField:
         if self.n <= 3:
             # a reducible monic quadratic/cubic has an integer root
             if self.m[0] == 0:
-                raise RankforgeError("minimal polynomial has root 0")
+                raise InvalidArgument("minimal polynomial has root 0")
             roots = _integer_roots(self.m, self.disc_m)
             if roots:
                 r = min(roots, key=lambda r: (abs(r), r < 0))
-                raise RankforgeError(f"minimal polynomial has rational root {r}")
+                raise InvalidArgument(f"minimal polynomial has rational root {r}")
             return
         for p in _CERTIFY_PRIMES:
             if self.disc_m % p and _modpoly.is_irreducible(
@@ -274,7 +283,8 @@ class PrimeIdeal(NamedTuple):
         """O_K/P; refused above 2, where Euler's criterion and the squares
         table of FqField would disagree on the quadratic character. The
         fields of the last 4096 (p, factor) asked for are kept, so equal
-        ideals share one field and its tables."""
+        ideals share one field and the element list and chi table it
+        caches; FqField.tables() is rebuilt on every call."""
         if self.p == 2:
             raise EvenCharacteristic(
                 f"even residue characteristic 2 at {self.label()}")

@@ -364,9 +364,25 @@ def fraction_to_str(x):
 
 
 def poly_from_str(s):
-    """Parse "c0,c1,...,cn" into a Poly with Fraction coefficients."""
-    parts = [t for t in s.split(",") if t.strip()]
-    return Poly([fraction_from_str(t) for t in parts])
+    """Parse "c0,c1,...,cn" into a Poly with Fraction coefficients; every
+    part must parse as a Fraction ("3", "-1/2"), so "", "1,,2" and "1,2,"
+    are refused."""
+    if isinstance(s, str):
+        try:
+            return Poly([fraction_from_str(t) for t in s.split(",")])
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidArgument(f"cannot parse {s!r} as c0,c1,...,cn")
+
+
+def int_coeffs(coeffs, what):
+    """coeffs as a list of ints; each must be an int or a Fraction with
+    denominator 1 (not a float, which would truncate)."""
+    coeffs = list(coeffs)
+    if not all(getattr(c, "denominator", 0) == 1 for c in coeffs):
+        raise InvalidArgument(
+            f"{what} {','.join(map(str, coeffs))} has a non-integer coefficient")
+    return [int(c) for c in coeffs]
 
 
 def poly_to_str(f):

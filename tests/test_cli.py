@@ -4,7 +4,18 @@ import pytest
 from click.testing import CliRunner
 
 from rankforge.cli import main
-from rankforge.errors import RankforgeError
+from rankforge.errors import (
+    BadPrime,
+    CompositeCharacteristic,
+    InternalIdentityFailure,
+    InvalidArgument,
+    NotKnownIrreducible,
+    RankforgeError,
+    ReducibleModulus,
+    RepeatedRoot,
+    ZeroAlpha,
+    ZeroRoot,
+)
 from rankforge.finite_field import FqField
 
 FIELD_Q = {"min_poly": "0,1"}
@@ -360,6 +371,19 @@ MALFORMED = {
     "min_poly not integral": (
         {**FAMILY_Q, "field": {"min_poly": "3/2,0,1"}},
         ["rank", "--max-norm", "100"]),
+    # an empty part used to be dropped: "-2,,0,1" ran as x^2 - 2
+    "min_poly with an empty coefficient": (
+        {**FAMILY_Q, "field": {"min_poly": "-2,,0,1"}},
+        ["rank", "--max-norm", "100"]),
+    "rho with an empty coordinate": (
+        {"field": {"min_poly": "-2,0,0,1"},
+         "rho": ["1", "2", "0,1", "1,,1", "0,0,1", "2,1"], "alpha": "1"},
+        ["rank", "--max-norm", "100"]),
+    # any truthy value used to skip the irreducibility certificate
+    "assert_irreducible not a boolean": (
+        {**FAMILY_Q, "field": {"min_poly": "1,0,0,0,1",
+                               "assert_irreducible": "no"}},
+        ["rank", "--max-norm", "100"]),
     "excluded_primes not integers": (
         {**FAMILY_Q, "field": {"min_poly": "-1,-1,1", "excluded_primes": ["a"]}},
         ["rank", "--max-norm", "100"]),
@@ -456,6 +480,17 @@ def test_malformed_input_exits_2(runner, tmp_path, field_file, case):
     assert not isinstance(res.exception, (RankforgeError, ValueError, KeyError))
     assert len(res.output.strip().splitlines()) == 1
     assert res.output.startswith("Error: ")
+
+
+def test_input_errors_are_invalid_arguments():
+    # the class hierarchy alone decides the exit code: 2 for these, 1 for
+    # a failed identity or a bad prime
+    for cls in (CompositeCharacteristic, ReducibleModulus, NotKnownIrreducible,
+                RepeatedRoot, ZeroRoot, ZeroAlpha):
+        assert issubclass(cls, InvalidArgument)
+    for cls in (InternalIdentityFailure, BadPrime):
+        assert issubclass(cls, RankforgeError)
+        assert not issubclass(cls, InvalidArgument)
 
 
 def test_group_without_subcommand_shows_its_help(runner):

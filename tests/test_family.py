@@ -13,7 +13,7 @@ from rankforge import (
     is_good_prime,
     reduce_elem,
 )
-from rankforge.errors import RepeatedRoot, ZeroAlpha, ZeroRoot
+from rankforge.errors import InvalidArgument, RepeatedRoot, ZeroAlpha, ZeroRoot
 from conftest import ideal_above
 
 
@@ -55,6 +55,12 @@ def test_zero_alpha_rejected(K_rat):
     rho = tuple(K_rat.elem(v) for v in (1, 2, 3, 4, 5, 6))
     with pytest.raises(ZeroAlpha):
         construct_family(FamilySpec(K=K_rat, rho=rho, alpha=K_rat.zero))
+
+
+def test_five_rho_refused(K_rat):
+    rho = tuple(K_rat.elem(v) for v in (1, 2, 3, 4, 5))
+    with pytest.raises(InvalidArgument, match="^a family needs six rho, got 5$"):
+        FamilySpec(K=K_rat, rho=rho, alpha=K_rat.one)
 
 
 def test_sqrt5_family_with_theta_root(K_sqrt5):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from rankforge.errors import (
     CompositeCharacteristic,
     DivisionByZero,
     FieldMismatch,
+    InvalidArgument,
     ReducibleModulus,
 )
 from rankforge.legendre import (
@@ -35,6 +37,12 @@ def test_make_extension_field():
 def test_reducible_modulus_rejected():
     with pytest.raises(ReducibleModulus):
         make_field(5, [-1, 0, 1])  # (x-1)(x+1)
+
+
+@pytest.mark.parametrize("modulus", [[Fraction(3, 2), 1], [2.5, 0, 1]])
+def test_non_integer_modulus_rejected(modulus):
+    with pytest.raises(InvalidArgument, match="^modulus .* has a non-integer coefficient$"):
+        make_field(5, modulus)
 
 
 @pytest.mark.parametrize("p", [2, 1, 15, 91])

@@ -14,6 +14,7 @@ from rankforge import (
 from rankforge.errors import (
     DenominatorNotInvertible,
     EvenCharacteristic,
+    InvalidArgument,
     NotKnownIrreducible,
     RankforgeError,
 )
@@ -324,11 +325,39 @@ def test_excluded_primes_leaving_out_a_non_maximal_prime_is_refused():
         "(3, 0,1)", "(7, 2,1)", "(7, 5,1)"]
 
 
-@pytest.mark.parametrize("excluded", [[-3], [True], [4], [5, 1], [5.0]])
+@pytest.mark.parametrize("excluded", [[-3], [True], [4], [5, 1], [5.0], 5, [[5]]])
 def test_excluded_primes_must_be_primes(excluded):
-    with pytest.raises(RankforgeError, match=(
+    # 5 is not iterable and [5] not hashable: both used to raise TypeError
+    with pytest.raises(InvalidArgument, match=(
             r"^excluded_primes must be a list of primes, got ")):
         NumberField([-1, -1, 1], excluded_primes=excluded)
+
+
+@pytest.mark.parametrize("coeff", [Fraction(3, 2), 2.7, 2.0, "2"])
+def test_non_integer_coefficients_are_refused(coeff):
+    # int() used to truncate: [3/2, 0, 1] built x^2 + 1, [2.7, 0, 1] x^2 + 2
+    with pytest.raises(InvalidArgument, match="non-integer coefficient$"):
+        NumberField([coeff, 0, 1])
+
+
+def test_integral_fraction_coefficients_are_accepted():
+    K = NumberField([Fraction(-2), Fraction(0), Fraction(4, 4)])
+    assert K.m == (-2, 0, 1) and all(type(c) is int for c in K.m)
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_assert_irreducible_must_be_a_bool(flag):
+    with pytest.raises(InvalidArgument, match="^assert_irreducible must be a bool"):
+        NumberField([1, 0, 0, 0, 1], assert_irreducible=flag)
+
+
+@pytest.mark.parametrize("min_poly", [
+    [0, 2], [], [-1, 0, 1], [1, 2, 1], [0, 1, 1], [1, 0, 0, 0, 1]],
+    ids=["not monic", "zero", "rational root", "not squarefree", "root 0",
+         "not known irreducible"])
+def test_malformed_min_poly_is_an_invalid_argument(min_poly):
+    with pytest.raises(InvalidArgument):
+        NumberField(min_poly)
 
 
 def test_degree4_irreducibility_certificate():

@@ -233,3 +233,19 @@ def test_poly_text_round_trip():
     assert s == "-1/2,0,3"
     assert poly_from_str(s) == f
     assert fraction_from_str("−3/4") == F(-3, 4)  # unicode minus tolerated
+
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("0", ()), ("1, 2", (1, 2)), (" -1/2 ,0,3", (F(-1, 2), 0, 3)),
+    ("4,0,0", (4,))])
+def test_poly_from_str_parses_every_part(text, coeffs):
+    assert poly_from_str(text).coeffs == coeffs
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "1,,2", "1,2,", ",1", "1, ,2", "abc", "1/0", "1;2", 5, None,
+    ["1", "2"], b"1,2"])
+def test_poly_from_str_refuses_malformed_text(text):
+    # an empty part used to be dropped, so "-2,,0,1" parsed as x^2 - 2
+    with pytest.raises(InvalidArgument, match=r"^cannot parse "):
+        poly_from_str(text)
