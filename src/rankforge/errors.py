@@ -22,11 +22,13 @@ class ReducibleModulus(InvalidArgument):
 
 
 class FieldMismatch(RankforgeError):
-    """Operands belong to different fields."""
+    """Operands belong to different fields: two number fields, two finite
+    fields, or one of each (poly.FieldElem, for KElem and FqElem alike)."""
 
 
 class DivisionByZero(RankforgeError, ZeroDivisionError):
-    """Division by the zero element."""
+    """Division by zero: the inverse of the zero element of K or F_q
+    (poly.FieldElem), or a polynomial divided by the zero polynomial."""
 
 
 # polynomials

@@ -23,13 +23,8 @@ import struct
 from typing import NamedTuple
 
 from . import _modpoly
-from .errors import (
-    CompositeCharacteristic,
-    DivisionByZero,
-    FieldMismatch,
-    ReducibleModulus,
-)
-from .poly import int_coeffs, poly_to_str
+from .errors import CompositeCharacteristic, FieldMismatch, ReducibleModulus
+from .poly import FieldElem, _coerced, int_coeffs, poly_to_str
 from .primes import is_prime
 
 
@@ -147,7 +142,7 @@ class FqField:
 
     def chi(self, u):
         """Quadratic character of u via the cached squares table."""
-        if u.field is not self:
+        if u.field != self:
             raise FieldMismatch("element of a different field")
         return self.chi_table()[self.encode(u)]
 
@@ -312,53 +307,13 @@ class FqTables(NamedTuple):
             yield [(total >> s & mask) - q for s in shifts]
 
 
-class FqElem:
+class FqElem(FieldElem):
     """Immutable element of an FqField; coefficient tuple of length r."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return self.field.elem(other)
-        if isinstance(other, FqElem):
-            if other.field != self.field:
-                raise FieldMismatch("elements of different fields")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.field.p
-        return FqElem(self.field, tuple(
-            (a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.field.p
-        return FqElem(self.field, tuple(
-            (a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        p = self.field.p
-        return FqElem(self.field, tuple(-a % p for a in self.coeffs))
-
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         f = self.field
         prod = _modpoly.mulmod(self.coeffs, other.coeffs, f.modulus, f.p)
         prod += [0] * (f.r - len(prod))
@@ -366,42 +321,12 @@ class FqElem:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        if not self:
-            raise DivisionByZero("inverse of zero")
+    def _inverse(self):
+        return self ** (self.field.q - 2)
+
+    def _pow(self, e):
         f = self.field
-        inv = _modpoly.powmod(list(self.coeffs), f.q - 2, list(f.modulus), f.p)
-        inv += [0] * (f.r - len(inv))
-        return FqElem(f, tuple(inv))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        f = self.field
-        out = _modpoly.powmod(list(self.coeffs), e, list(f.modulus), f.p)
-        out += [0] * (f.r - len(out))
-        return FqElem(f, tuple(out))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self.field.elem(other)
-        return (isinstance(other, FqElem)
-                and self.field == other.field and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self.coeffs))
+        return f.elem(_modpoly.powmod(list(self.coeffs), e, f.modulus, f.p))
 
     def __repr__(self):
         return f"FqElem{list(self.coeffs)}@{self.field!r}"

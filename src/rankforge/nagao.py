@@ -63,7 +63,9 @@ def _reduced(fam, P):
 def average_A_p_direct(fam, P):
     """Average of a_t over all fibers: minus the sum over x of the t-sums
     of chi(x^3 t^2 + 2 g(x) t - h(x)), each by brute force, all q in one
-    FqTables.t_sums. O(q^2)."""
+    FqTables.t_sums. O(q^2), so refused above DIRECT_NORM_CAP before any
+    reduction or tables."""
+    check_direct_cap(P.norm)
     reduced = _reduced(fam, P)
     fld = P.residue_field
     tables = fld.tables()

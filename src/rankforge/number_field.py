@@ -39,11 +39,12 @@ from .errors import (
     EvenCharacteristic,
     InvalidArgument,
     NotKnownIrreducible,
-    RankforgeError,
 )
 from .finite_field import FqElem, FqField
 from .poly import (
+    FieldElem,
     Poly,
+    _coerced,
     _edf,
     _sff,
     _split,
@@ -136,7 +137,7 @@ class NumberField:
         """Element of K from rational coordinates in the power basis."""
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
-        c = [Fraction(x) for x in coeffs]
+        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
         if len(c) > self.n:
             reduced = Poly(c) % self.m_poly
             c = list(reduced.coeffs)
@@ -164,86 +165,30 @@ class NumberField:
         return f"NumberField({list(self.m)})"
 
 
-class KElem:
+class KElem(FieldElem):
     """Element of K in the power basis 1, theta, ..., theta^(n-1)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
+    _scalars = (int, Fraction)
 
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.field.elem(other)
-        if isinstance(other, KElem):
-            if other.field != self.field:
-                raise RankforgeError("elements of different number fields")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return KElem(self.field, tuple(
-            a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return KElem(self.field, tuple(
-            a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return KElem(self.field, tuple(-a for a in self.coeffs))
-
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prod = (Poly(self.coeffs) * Poly(other.coeffs)) % self.field.m_poly
-        c = list(prod.coeffs)
-        c += [Fraction(0)] * (self.field.n - len(c))
-        return KElem(self.field, tuple(c))
+        prod = Poly(self.coeffs) * Poly(other.coeffs) % self.field.m_poly
+        return self.field.elem(prod.coeffs)
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        if not self:
-            raise ZeroDivisionError("inverse of zero in K")
+    def _inverse(self):
         d, u, _ = xgcd(Poly(self.coeffs), self.field.m_poly)
-        assert d.degree == 0
-        inv = u * (Fraction(1) / d.coeffs[0])
-        inv = inv % self.field.m_poly
-        c = list(inv.coeffs)
-        c += [Fraction(0)] * (self.field.n - len(c))
-        return KElem(self.field, tuple(c))
+        assert d.degree == 0  # d is monic: u is the inverse
+        return self.field.elem(u.coeffs)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.field.one
-        base = self
-        while e > 0:
+    def _pow(self, e):
+        out, base = self.field.one, self
+        while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out *= base
+            base *= base
             e >>= 1
         return out
 
@@ -252,18 +197,6 @@ class KElem:
         if not self:
             return Fraction(0)
         return resultant(self.field.m_poly, Poly(self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self == self.field.elem(other)
-        return (isinstance(other, KElem)
-                and self.field == other.field and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field.m, self.coeffs))
 
     def __repr__(self):
         return "KElem[" + ",".join(str(c) for c in self.coeffs) + "]"

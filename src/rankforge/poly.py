@@ -1,22 +1,28 @@
-"""Univariate polynomials over exact coefficient domains.
+"""Univariate polynomials over exact coefficient domains, and the element
+protocol of the fields they run over.
 
 Poly is duck-typed over its coefficients: anything with ring operators,
 truthiness for zero-testing, and / for leading-coefficient inversion works
-(Fraction, FqElem, KElem). Factorization over prime fields operates on
-plain int coefficient lists, and one function, _split, decides how m mod p
-is split for every Dedekind caller (factor_mod_p, prime_ideals_above,
-enumeration and landau_sum): the quadratic formula for a quadratic at odd
-p, else the squarefree, distinct-degree and equal-degree splits, p = 2
-included.
+(Fraction, FqElem, KElem). FieldElem is the operator protocol KElem and
+FqElem share: coercion of scalars, sums, quotients, negative powers,
+equality and hashing, with one FieldMismatch for mixed fields and one
+DivisionByZero for the inverse of zero. Factorization over prime fields
+operates on plain int coefficient lists, and one function, _split, decides
+how m mod p is split for every Dedekind caller (factor_mod_p,
+prime_ideals_above, enumeration and landau_sum): the quadratic formula for
+a quadratic at odd p, else the squarefree, distinct-degree and equal-degree
+splits, p = 2 included.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 from . import _modpoly
 from .errors import (
     DivisionByZero,
+    FieldMismatch,
     InvalidArgument,
     ZeroLeadingCoefficient,
     ZeroPolynomial,
@@ -118,6 +124,88 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
+
+
+def _coerced(op):
+    """A binary operator of FieldElem on its other operand coerced into
+    the field (FieldElem._coerce); NotImplemented for a foreign type."""
+    def method(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return op(self, other)
+    return method
+
+
+class FieldElem:
+    """Immutable element of a field F, a coefficient tuple over its basis.
+
+    A subclass names the scalars F.elem takes (_scalars) and supplies the
+    product (__mul__, wrapped in _coerced), _inverse of a nonzero element
+    and _pow for exponents e >= 0; sums, differences and negation go
+    coefficientwise through F.elem, which reduces them.
+    """
+
+    __slots__ = ("field", "coeffs")
+    _scalars = (int,)
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        self.coeffs = coeffs
+
+    def _coerce(self, other):
+        if isinstance(other, self._scalars):
+            return self.field.elem(other)
+        if isinstance(other, FieldElem):
+            if other.field != self.field:
+                raise FieldMismatch("elements of different fields")
+            return other
+        return NotImplemented
+
+    @_coerced
+    def __add__(self, other):
+        return self.field.elem(map(operator.add, self.coeffs, other.coeffs))
+
+    __radd__ = __add__
+
+    @_coerced
+    def __sub__(self, other):
+        return self.field.elem(map(operator.sub, self.coeffs, other.coeffs))
+
+    @_coerced
+    def __rsub__(self, other):
+        return other - self
+
+    def __neg__(self):
+        return self.field.elem([-a for a in self.coeffs])
+
+    @_coerced
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    @_coerced
+    def __rtruediv__(self, other):
+        return other * self.inverse()
+
+    def inverse(self):
+        if not self:
+            raise DivisionByZero(f"inverse of zero in {self.field!r}")
+        return self._inverse()
+
+    def __pow__(self, e):
+        return (self.inverse() if e < 0 else self)._pow(abs(e))
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, self._scalars):
+            other = self.field.elem(other)
+        return (isinstance(other, FieldElem)
+                and self.field == other.field and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
 
 def xgcd(f, g):

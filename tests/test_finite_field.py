@@ -73,6 +73,14 @@ def test_field_mismatch():
         make_field(7, X).elem(1) + make_field(5, X).elem(1)
 
 
+def test_chi_takes_elements_of_an_equal_field():
+    # the same rule as arithmetic: fields compare by (p, modulus)
+    F7, again = make_field(7, X), make_field(7, X)
+    assert F7.chi(again.elem(2)) == 1 == F7.chi(F7.elem(2))
+    with pytest.raises(FieldMismatch):
+        F7.chi(make_field(5, X).elem(1))
+
+
 def test_division_by_zero():
     F7 = make_field(7, X)
     with pytest.raises(DivisionByZero):

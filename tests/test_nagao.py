@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from rankforge import (
+    FamilySpec,
+    NumberField,
     Poly,
     average_A_p_analytic,
     average_A_p_direct,
+    construct_family,
     enumerate_prime_ideals,
     fiber_polynomial,
     is_good_prime,
@@ -143,6 +146,25 @@ def test_residue_degree_three(fam_cbrt2):
         assert d.A_p == a.A_p == -6
 
 
+def test_residue_degree_four():
+    # x^4 - 2 with rho = (1, 2, theta, 1 + theta, theta^2, 2 + theta), alpha
+    # = 1: 5 is inert (f = 4, norm 625), beside the eight f = 2 ideals of
+    # norm <= 1000 and the f = 1 ideals of norm <= 31
+    K = NumberField([-2, 0, 0, 0, 1])
+    rho = [K.elem(c) for c in ([1], [2], [0, 1], [1, 1], [0, 0, 1], [2, 1])]
+    fam = construct_family(FamilySpec(K=K, rho=tuple(rho), alpha=K.one))
+    ideals = [P for P in enumerate_prime_ideals(K, 1000)
+              if is_good_prime(fam, P)[0] and (P.f > 1 or P.norm <= 31)]
+    assert [P.f for P in ideals].count(2) == 8
+    assert [P.f for P in ideals].count(1) == 3
+    inert, = [P for P in ideals if P.f == 4]
+    assert (inert.p, inert.norm) == (5, 625)
+    for P in ideals:
+        d = average_A_p_direct(fam, P)
+        a = average_A_p_analytic(fam, P)
+        assert d.sum_a_t == a.sum_a_t == -6 * P.norm, P.label()
+
+
 def test_six_euler_powmods_per_ideal(fam_cbrt2, monkeypatch):
     # every residue degree takes chi of the six reduced roots by Euler's
     # criterion: one powmod each, modulo P.factor, none of them of x
@@ -223,6 +245,20 @@ def test_series_rows_monotone_checkpoints(fam_rat):
 def test_direct_cap_enforced(fam_rat):
     with pytest.raises(RankforgeError):
         nagao_partial_sum(fam_rat, 5000, method="direct", checkpoints=[5000])
+
+
+def test_direct_kernel_refuses_norms_above_its_cap(fam_rat, monkeypatch):
+    # the library itself refuses, before any reduction or field tables
+    from rankforge import nagao
+
+    def fail(*args):
+        raise AssertionError("work started above the direct cap")
+
+    P = ideal_above(fam_rat.K, 1009)
+    monkeypatch.setattr(FqField, "tables", fail)
+    monkeypatch.setattr(nagao, "reduce_family", fail)
+    with pytest.raises(InvalidArgument, match="capped at norm 1000"):
+        average_A_p_direct(fam_rat, P)
 
 
 @pytest.mark.parametrize("X, checkpoints, method", [
