@@ -2,17 +2,13 @@
 numerically through averaged traces of Frobenius and closed-form quadratic
 character sums."""
 
-from .family import CurveFamily, FamilySpec, construct_family, fiber_polynomial
-from .family import is_good_prime
-from .finite_field import FqElem, FqField, enumerate_elements, make_field
-from .finite_field import quadratic_character
-from .legendre import QuadSumInput, conic_count, quad_sum_brute, quad_sum_closed
+from .family import CurveFamily, FamilySpec, construct_family, is_good_prime
+from .finite_field import FqElem, FqField, make_field, quadratic_character
 from .nagao import (
     average_A_p_analytic,
     average_A_p_direct,
     nagao_partial_sum,
     rank_estimate,
-    trace_a_t,
 )
 from .number_field import (
     KElem,
@@ -22,16 +18,15 @@ from .number_field import (
     landau_sum,
     reduce_elem,
 )
-from .poly import Poly, expand_from_roots, factor_mod_p, roots_in_fq
+from .poly import Poly, expand_from_roots, factor_mod_p
 
 __all__ = [
-    "CurveFamily", "FamilySpec", "construct_family", "fiber_polynomial",
-    "is_good_prime", "FqElem", "FqField", "enumerate_elements", "make_field",
-    "quadratic_character", "QuadSumInput", "conic_count", "quad_sum_brute",
-    "quad_sum_closed", "average_A_p_analytic", "average_A_p_direct",
-    "nagao_partial_sum", "rank_estimate", "trace_a_t", "KElem", "NumberField",
-    "PrimeIdeal", "enumerate_prime_ideals", "landau_sum", "reduce_elem",
-    "Poly", "expand_from_roots", "factor_mod_p", "roots_in_fq",
+    "CurveFamily", "FamilySpec", "construct_family", "is_good_prime",
+    "FqElem", "FqField", "make_field", "quadratic_character",
+    "average_A_p_analytic", "average_A_p_direct", "nagao_partial_sum",
+    "rank_estimate", "KElem", "NumberField", "PrimeIdeal",
+    "enumerate_prime_ideals", "landau_sum", "reduce_elem", "Poly",
+    "expand_from_roots", "factor_mod_p",
 ]
 
 __version__ = "0.1.0"

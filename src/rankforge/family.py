@@ -8,31 +8,24 @@ of the r_i and the identity is re-verified by exact expansion.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
-    BadPrime,
     InternalIdentityFailure,
     InvalidArgument,
     RepeatedRoot,
     ZeroAlpha,
     ZeroRoot,
 )
-from .number_field import KElem, NumberField, PrimeIdeal
+from .number_field import KElem, NumberField
 from .number_field import integer_coords, reduce_coords
 from .poly import Poly, expand_from_roots
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     K: NumberField
     rho: tuple  # six nonzero KElem whose squares are pairwise distinct
     alpha: KElem
-
-    def __post_init__(self):
-        if len(self.rho) != 6:
-            raise InvalidArgument(f"a family needs six rho, got {len(self.rho)}")
 
 
 def elementary_symmetric(values, one):
@@ -45,8 +38,7 @@ def elementary_symmetric(values, one):
     return s
 
 
-@dataclass(frozen=True)
-class CurveFamily:
+class CurveFamily(NamedTuple):
     spec: FamilySpec
     a: KElem
     b: KElem
@@ -77,6 +69,8 @@ def construct_family(spec):
     """Solve for (a, b, c, A, B, C, D) so that D_T = A * prod(x - rho_i^2)."""
     K = spec.K
     alpha = spec.alpha
+    if len(spec.rho) != 6:
+        raise InvalidArgument(f"a family needs six rho, got {len(spec.rho)}")
     if not alpha:
         raise ZeroAlpha("alpha must be nonzero")
     for i, rho in enumerate(spec.rho):
@@ -199,17 +193,3 @@ def is_good_prime(fam, P):
     the six reduced roots stay distinct and nonzero (with alpha a unit)."""
     reason = reduce_family(fam, P).reason
     return reason is None, reason
-
-
-def fiber_polynomial(fam, P, t):
-    """The cubic in x of the fiber at T = t over the residue field:
-    t^2 x^3 + 2 g(x) t - h(x)."""
-    fld = P.residue_field
-    if t.field != fld:
-        raise BadPrime("t must live in the residue field of P")
-    reduced = reduce_family(fam, P)
-    if reduced.g is None:
-        raise BadPrime(reduced.reason)
-    x3 = Poly([fld.zero] * 3 + [t * t])
-    g, h = (Poly(map(fld.elem, c)) for c in (reduced.g, reduced.h))
-    return x3 + g * (t + t) - h

@@ -4,17 +4,18 @@ Elements live in a polynomial basis over F_p with an explicitly supplied
 modulus; the prime-field case r = 1 goes through the same code path.
 
 FqElem with chi(u) (squares table) and quadratic_character (Euler's
-criterion) is the simple reference path. FqField.tables() codes elements as
-ints with O(q) log/antilog tables (Lidl-Niederreiter, Finite Fields, ch. 9)
-for the two brute-force kernels of the t-sum of chi(a t^2 + b t + c), both
-summing chi over every t. FqTables.t_sums takes a whole batch of triples in
-one pass over t: each triple is a slot of packed digit-plane ints, a t^2 +
-b t + c follows t by finite differences (slotwise adds mod p, no field
-multiply), and chi is read for every slot at once by bytes.translate. The
-random Legendre sweep and the direct A_p method in nagao (minus its sum
-over x) use it. FqTables.row_sums gives all q values of c of one (a, b) at
-once from a packed chi, for the exhaustive Legendre sweep. The analytic
-A_p method needs no tables.
+criterion) is the simple element-level path that the reference oracles of
+the test suite read. FqField.tables() codes elements as ints with O(q)
+log/antilog tables (Lidl-Niederreiter, Finite Fields, ch. 9) for the two
+brute-force kernels of the t-sum of chi(a t^2 + b t + c), both summing chi
+over every t. FqTables.t_sums takes a whole batch of triples in one pass
+over t: each triple is a slot of packed digit-plane ints, a t^2 + b t + c
+follows t by finite differences (slotwise adds mod p, no field multiply),
+and chi is read for every slot at once by bytes.translate. The random
+Legendre sweep and the direct A_p method in nagao (minus its sum over x,
+its triples built on the same tables) use it. FqTables.row_sums gives all
+q values of c of one (a, b) at once from a packed chi, for the exhaustive
+Legendre sweep. The analytic A_p method needs no tables.
 """
 
 import itertools
@@ -168,6 +169,10 @@ class FqTables(NamedTuple):
     exp: list  # exp[k]: code of g^k; 0 from the sentinel on
     p: int  # the characteristic
     r: int  # the degree over F_p
+
+    def code(self, coords):
+        """The code of the element with these coordinates over F_p."""
+        return sum(c * (2 * self.p - 1) ** i for i, c in enumerate(coords))
 
     def chi(self):
         """chi[s], the quadratic character of red[s]: the parity of log."""
@@ -343,11 +348,6 @@ def make_field(p, modulus):
     if not _modpoly.is_irreducible(mod, p):
         raise ReducibleModulus(f"modulus {poly_to_str(mod)} factors over F_{p}")
     return FqField(p, mod)
-
-
-def enumerate_elements(field):
-    """All q elements in deterministic lexicographic order."""
-    return list(field.elements())
 
 
 def quadratic_character(u):

@@ -1,77 +1,31 @@
-"""Closed-form quadratic character sums over F_q and their oracles.
+"""Closed-form quadratic character sums over F_q, checked in bulk.
 
 For a != 0 the t-sum of chi(a t^2 + b t + c) collapses to (q-1)chi(a) when
-the discriminant vanishes and -chi(a) otherwise; quad_sum_brute is the
-independent enumeration oracle, conic_count the point count on
-s^2 = a t^2 + b t + c. These work on FqElem and are the reference path.
-verify_quad_sums checks the closed form and the conic bound in bulk
-against brute-force t-sums over every t: FqTables.row_sums gives the q
-sums of each (a, b) row of an exhaustive field at once, and
-FqTables.t_sums, the kernel the direct A_p method in nagao adds up over x,
-gives those of all the random triples of a field in one packed pass over t.
+the discriminant vanishes and -chi(a) otherwise, and for a nondegenerate
+conic s^2 = a t^2 + b t + c the point count q + (that sum) lies in
+[q - 1, q + 1]. verify_quad_sums checks both against brute-force t-sums
+over every t: FqTables.row_sums gives the q sums of each (a, b) row of an
+exhaustive field at once, and FqTables.t_sums, the kernel the direct A_p
+method in nagao adds up over x, gives those of all the random triples of a
+field in one packed pass over t. A sweep past MAX_Q or EXHAUSTIVE_MAX_Q
+is refused before any field is built.
 """
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._modpoly import find_irreducible
-from .errors import FieldMismatch, ZeroLeadingCoefficient
-from .finite_field import FqElem, FqField
+from .errors import InvalidArgument
+from .finite_field import FqField
 from .primes import sieve
 
 RANDOM_TRIPLES = 1000  # triples per field above exhaustive_max_q
+# above about 4000, t_sums is slower than a loop over t per triple
+MAX_Q = 4096
+EXHAUSTIVE_MAX_Q = 127  # the exhaustive sweep checks q^3 - q^2 triples
 
 
-@dataclass(frozen=True)
-class QuadSumInput:
-    a: FqElem
-    b: FqElem
-    c: FqElem
-
-    def __post_init__(self):
-        if not (self.a.field == self.b.field == self.c.field):
-            raise FieldMismatch("coefficients in different fields")
-
-    @property
-    def field(self):
-        return self.a.field
-
-
-def quad_sum_closed(inp):
-    """Closed form, valid only for a != 0 in odd characteristic."""
-    a, b, c = inp.a, inp.b, inp.c
-    if not a:
-        raise ZeroLeadingCoefficient("closed form requires a != 0")
-    fld = a.field
-    disc = b * b - 4 * a * c
-    chi_a = fld.chi(a)
-    if not disc:
-        return (fld.q - 1) * chi_a
-    return -chi_a
-
-
-def quad_sum_brute(inp):
-    """Direct enumeration of sum over t of chi(a t^2 + b t + c)."""
-    a, b, c = inp.a, inp.b, inp.c
-    fld = a.field
-    chi = fld.chi
-    return sum(chi(a * t * t + b * t + c) for t in fld.elements())
-
-
-def conic_count(inp):
-    """#{(s, t) : s^2 = a t^2 + b t + c} = q + quad_sum_brute."""
-    a, b, c = inp.a, inp.b, inp.c
-    fld = a.field
-    chi = fld.chi
-    return sum(1 + chi(a * t * t + b * t + c) for t in fld.elements())
-
-
-# ---------------------------------------------------------------------------
-# bulk verification sweep
-
-
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     q: int
     p: int
     r: int
@@ -140,8 +94,16 @@ def verify_quad_sums(max_q=343, exhaustive_max_q=49, seed=0):
 
     Exhaustive over all (a, b, c) with a != 0 for q <= exhaustive_max_q;
     RANDOM_TRIPLES seeded random triples for larger q up to max_q. Returns
-    one SweepResult per odd prime power q.
+    one SweepResult per odd prime power q. Refuses max_q above MAX_Q and
+    exhaustive_max_q above EXHAUSTIVE_MAX_Q before any work.
     """
+    if max_q > MAX_Q:
+        raise InvalidArgument(
+            f"the Legendre sweep is capped at q = {MAX_Q}, got max_q {max_q}")
+    if exhaustive_max_q > EXHAUSTIVE_MAX_Q:
+        raise InvalidArgument(
+            f"the exhaustive Legendre sweep is capped at q = "
+            f"{EXHAUSTIVE_MAX_Q}, got exhaustive_max_q {exhaustive_max_q}")
     results = []
     for q, p, r in odd_prime_powers(max_q):
         exhaustive = q <= exhaustive_max_q

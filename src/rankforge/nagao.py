@@ -5,14 +5,15 @@ The direct method, O(q^2), is minus the sum over x of the brute-force
 t-sums of chi(x^3 t^2 + 2 g(x) t - h(x)), all q of them (the x = 0 one with
 a = 0) from one batched FqTables.t_sums, which the random Legendre sweep
 checks (the exhaustive sweep checks FqTables.row_sums, pinned to t_sums).
+Its q triples come from the same tables: log x^3 is 3 log x, and g(x) and
+-h(x) follow by Horner on the codes of the reduced coefficients.
 The analytic method collapses each t-sum in closed form to minus q times
 the sum of chi over the roots of D_T mod P, which at a good P are the six
 prescribed r_i = rho_i^2 reduced: six Euler criteria, each one powmod
-modulo P.factor (the builtin pow at residue degree 1). It reads the
-coefficient tuples of ReducedFamily and builds no residue field. At good
-primes both methods give the average -6 exactly, and `nagao ap --method
-both` fails where their sums differ; curve_trace and trace_a_t are the
-FqElem reference path the tests check them against.
+modulo P.factor (the builtin pow at residue degree 1). Both methods read
+the coefficient tuples of ReducedFamily; the analytic one builds no
+residue field. At good primes both give the average -6 exactly, and
+`nagao ap --method both` fails where their sums differ.
 """
 
 import math
@@ -21,27 +22,10 @@ from typing import NamedTuple
 
 from . import _modpoly
 from .errors import BadPrime, InvalidArgument
-from .family import fiber_polynomial, is_good_prime, reduce_family
+from .family import is_good_prime, reduce_family
 from .number_field import enumerate_prime_ideals
-from .poly import Poly
 
 DIRECT_NORM_CAP = 1000  # O(q^2) work; analytic is the default beyond this
-
-
-def curve_trace(cubic, fld):
-    """q + 1 - #E for y^2 = cubic(x): the negated affine character sum.
-
-    Defined uniformly for singular cubics too (affine points plus one at
-    infinity), so the direct and analytic routes stay consistent.
-    """
-    chi = fld.chi
-    return -sum(chi(cubic(x)) for x in fld.elements())
-
-
-def trace_a_t(fam, P, t):
-    """a_t(P) for a single fiber."""
-    _reduced(fam, P)
-    return curve_trace(fiber_polynomial(fam, P, t), P.residue_field)
 
 
 class ApResult(NamedTuple):
@@ -63,19 +47,28 @@ def _reduced(fam, P):
 def average_A_p_direct(fam, P):
     """Average of a_t over all fibers: minus the sum over x of the t-sums
     of chi(x^3 t^2 + 2 g(x) t - h(x)), each by brute force, all q in one
-    FqTables.t_sums. O(q^2), so refused above DIRECT_NORM_CAP before any
-    reduction or tables."""
+    FqTables.t_sums, with x^3, g(x) and -h(x) read from the same tables.
+    O(q^2), so refused above DIRECT_NORM_CAP before any reduction or
+    tables."""
     check_direct_cap(P.norm)
     reduced = _reduced(fam, P)
-    fld = P.residue_field
-    tables = fld.tables()
-    codes, log = tables.codes, tables.log
-    code = dict(zip(fld.elements(), codes))
-    g, minus_h = Poly(map(fld.elem, reduced.g)), -Poly(map(fld.elem, reduced.h))
-    total = -sum(tables.t_sums(
-        (log[code[x * x * x]], log[code[2 * g(x)]], code[minus_h(x)])
-        for x in fld.elements()))
-    return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, fld.q),
+    tables = P.residue_field.tables()
+    codes, red, log, exp = tables.codes, tables.red, tables.log, tables.exp
+    order, zero_log, log_two = len(codes) - 1, log[0], log[2]
+
+    def horner(coeffs, lx):  # code of the polynomial at the x of log lx
+        acc = 0
+        for c in reversed(coeffs):
+            acc = red[exp[log[acc] + lx] + c]
+        return acc
+
+    g = [tables.code(c) for c in reduced.g]
+    minus_h = [tables.code([-d % P.p for d in c]) for c in reduced.h]
+    total = -sum(tables.t_sums(  # x = 0 keeps the log 0 sentinel for x^3
+        (zero_log if lx == zero_log else 3 * lx % order,
+         log[exp[log_two + log[horner(g, lx)]]], horner(minus_h, lx))
+        for lx in map(log.__getitem__, codes)))
+    return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, P.norm),
                     method="direct", good=True)
 
 

@@ -265,30 +265,6 @@ def expand_from_roots(roots, leading):
     return acc
 
 
-def roots_in_fq(f, field):
-    """Roots of f in the given field, with multiplicities.
-
-    Exhaustive scan (q is small throughout this package); multiplicities
-    via repeated synthetic division.
-    """
-    if f.is_zero:
-        raise ZeroPolynomial("every element is a root of the zero polynomial")
-    out = {}
-    for u in field.elements():
-        if not f(u):
-            mult = 0
-            g = f
-            lin = Poly([-u, field.one])
-            while True:
-                q, r = divmod(g, lin)
-                if not r.is_zero:
-                    break
-                mult += 1
-                g = q
-            out[u] = mult
-    return out
-
-
 # ---------------------------------------------------------------------------
 # factorization over F_p (int coefficient lists internally)
 

@@ -1,0 +1,87 @@
+"""FqElem reference oracles for the integer-coded kernels of rankforge.
+
+Each works element by element through FqElem and Poly arithmetic, with
+chi from FqField.chi (the squares table), so it shares no arithmetic with
+FqField.tables(), FqTables.t_sums or the A_p methods it checks: roots
+found by scanning every element, point counts of a fiber over every x,
+and quadratic character sums over every t, beside their closed form.
+"""
+
+from rankforge.errors import BadPrime, ZeroLeadingCoefficient, ZeroPolynomial
+from rankforge.family import reduce_family
+from rankforge.poly import Poly
+
+
+def roots_in_fq(f, field):
+    """Roots of f in the given field, with multiplicities.
+
+    Exhaustive scan; multiplicities via repeated synthetic division.
+    """
+    if f.is_zero:
+        raise ZeroPolynomial("every element is a root of the zero polynomial")
+    out = {}
+    for u in field.elements():
+        if not f(u):
+            mult = 0
+            g = f
+            lin = Poly([-u, field.one])
+            while True:
+                q, r = divmod(g, lin)
+                if not r.is_zero:
+                    break
+                mult += 1
+                g = q
+            out[u] = mult
+    return out
+
+
+def fiber_polynomial(fam, P, t):
+    """The cubic in x of the fiber at T = t over the residue field:
+    t^2 x^3 + 2 g(x) t - h(x)."""
+    fld = P.residue_field
+    if t.field != fld:
+        raise BadPrime("t must live in the residue field of P")
+    reduced = reduce_family(fam, P)
+    if reduced.g is None:
+        raise BadPrime(reduced.reason)
+    x3 = Poly([fld.zero] * 3 + [t * t])
+    g, h = (Poly(map(fld.elem, c)) for c in (reduced.g, reduced.h))
+    return x3 + g * (t + t) - h
+
+
+def curve_trace(cubic, fld):
+    """q + 1 - #E for y^2 = cubic(x): the negated affine character sum.
+
+    Defined uniformly for singular cubics too (affine points plus one at
+    infinity), so the direct and analytic routes stay consistent.
+    """
+    chi = fld.chi
+    return -sum(chi(cubic(x)) for x in fld.elements())
+
+
+def trace_a_t(fam, P, t):
+    """a_t(P) for a single fiber; a bad P raises BadPrime."""
+    reason = reduce_family(fam, P).reason
+    if reason is not None:
+        raise BadPrime(reason)
+    return curve_trace(fiber_polynomial(fam, P, t), P.residue_field)
+
+
+def quad_sum_closed(a, b, c):
+    """Closed form of the sum over t of chi(a t^2 + b t + c), valid only
+    for a != 0 in odd characteristic."""
+    if not a:
+        raise ZeroLeadingCoefficient("closed form requires a != 0")
+    fld = a.field
+    disc = b * b - 4 * a * c
+    chi_a = fld.chi(a)
+    if not disc:
+        return (fld.q - 1) * chi_a
+    return -chi_a
+
+
+def quad_sum_brute(a, b, c):
+    """Direct enumeration of sum over t of chi(a t^2 + b t + c)."""
+    fld = a.field
+    chi = fld.chi
+    return sum(chi(a * t * t + b * t + c) for t in fld.elements())

@@ -449,6 +449,10 @@ MALFORMED = {
     "legendre max-q zero": (None, ["legendre", "verify", "--max-q", "0"]),
     "legendre max-q negative": (
         None, ["legendre", "verify", "--max-q", "-5"]),
+    "legendre max-q above its cap": (
+        None, ["legendre", "verify", "--max-q", "5000"]),
+    "legendre exhaustive-max-q above its cap": (
+        None, ["legendre", "verify", "--exhaustive-max-q", "128"]),
     # click's own parse errors
     "max-norm not an integer": (FAMILY_Q, ["rank", "--max-norm", "abc"]),
     "method not a choice": (

@@ -9,12 +9,12 @@ from rankforge import (
     Poly,
     construct_family,
     expand_from_roots,
-    fiber_polynomial,
     is_good_prime,
     reduce_elem,
 )
 from rankforge.errors import InvalidArgument, RepeatedRoot, ZeroAlpha, ZeroRoot
 from conftest import ideal_above
+from oracles import fiber_polynomial
 
 
 def test_reference_family_coefficients(fam_rat):
@@ -60,7 +60,7 @@ def test_zero_alpha_rejected(K_rat):
 def test_five_rho_refused(K_rat):
     rho = tuple(K_rat.elem(v) for v in (1, 2, 3, 4, 5))
     with pytest.raises(InvalidArgument, match="^a family needs six rho, got 5$"):
-        FamilySpec(K=K_rat, rho=rho, alpha=K_rat.one)
+        construct_family(FamilySpec(K=K_rat, rho=rho, alpha=K_rat.one))
 
 
 def test_sqrt5_family_with_theta_root(K_sqrt5):

@@ -2,45 +2,53 @@ import random
 
 import pytest
 
-from rankforge import QuadSumInput, conic_count, make_field, quad_sum_brute
-from rankforge import quad_sum_closed
-from rankforge.errors import FieldMismatch, ZeroLeadingCoefficient
+from rankforge import legendre, make_field
+from rankforge.errors import FieldMismatch, InvalidArgument
+from rankforge.errors import ZeroLeadingCoefficient
 from rankforge.legendre import standard_field, verify_quad_sums
+from oracles import quad_sum_brute, quad_sum_closed
 
 
 def triple(fld, a, b, c):
-    return QuadSumInput(fld.elem(a), fld.elem(b), fld.elem(c))
+    return fld.elem(a), fld.elem(b), fld.elem(c)
+
+
+def conic_count(inp):
+    """#{(s, t) : s^2 = a t^2 + b t + c}, every pair enumerated."""
+    a, b, c = inp
+    elems = a.field.elements()
+    return sum(s * s == a * t * t + b * t + c for s in elems for t in elems)
 
 
 def test_closed_perfect_square_case():
     for p, r in [(7, 1), (3, 2), (5, 2)]:
         fld = standard_field(p, r)
-        assert quad_sum_closed(triple(fld, 1, 0, 0)) == fld.q - 1
+        assert quad_sum_closed(*triple(fld, 1, 0, 0)) == fld.q - 1
 
 
 def test_closed_generic_case_f5():
     F5 = make_field(5, [0, 1])
-    assert quad_sum_closed(triple(F5, 1, 0, -1)) == -1
+    assert quad_sum_closed(*triple(F5, 1, 0, -1)) == -1
 
 
 def test_closed_nonsquare_leading_f7():
     F7 = make_field(7, [0, 1])
-    assert quad_sum_closed(triple(F7, 3, 0, 0)) == -6
+    assert quad_sum_closed(*triple(F7, 3, 0, 0)) == -6
 
 
 def test_closed_rejects_zero_leading():
     F7 = make_field(7, [0, 1])
     with pytest.raises(ZeroLeadingCoefficient):
-        quad_sum_closed(triple(F7, 0, 1, 0))
+        quad_sum_closed(*triple(F7, 0, 1, 0))
 
 
 def test_brute_examples():
     F9 = make_field(3, [1, 0, 1])
-    assert quad_sum_brute(triple(F9, 1, 0, 0)) == 8
+    assert quad_sum_brute(*triple(F9, 1, 0, 0)) == 8
     F7 = make_field(7, [0, 1])
-    assert quad_sum_brute(triple(F7, 0, 1, 0)) == 0
+    assert quad_sum_brute(*triple(F7, 0, 1, 0)) == 0
     F5 = make_field(5, [0, 1])
-    assert quad_sum_brute(triple(F5, 1, 0, -1)) == -1
+    assert quad_sum_brute(*triple(F5, 1, 0, -1)) == -1
 
 
 def test_conic_examples():
@@ -57,7 +65,7 @@ def test_conic_equals_q_plus_brute():
     rng = random.Random(9)
     for _ in range(50):
         inp = triple(fld, rng.randrange(9), rng.randrange(9), rng.randrange(9))
-        assert conic_count(inp) == fld.q + quad_sum_brute(inp)
+        assert conic_count(inp) == fld.q + quad_sum_brute(*inp)
 
 
 def test_degenerate_linear_sum_vanishes():
@@ -67,14 +75,14 @@ def test_degenerate_linear_sum_vanishes():
         for _ in range(20):
             b = fld.decode(rng.randrange(1, fld.q))
             c = fld.decode(rng.randrange(fld.q))
-            assert quad_sum_brute(QuadSumInput(fld.zero, b, c)) == 0
+            assert quad_sum_brute(fld.zero, b, c) == 0
 
 
 def test_mismatched_fields_rejected():
     F5 = make_field(5, [0, 1])
     F7 = make_field(7, [0, 1])
     with pytest.raises(FieldMismatch):
-        QuadSumInput(F5.one, F7.one, F5.one)
+        quad_sum_brute(F5.one, F7.one, F5.one)
 
 
 def test_closed_matches_brute_via_public_api():
@@ -82,10 +90,10 @@ def test_closed_matches_brute_via_public_api():
         fld = standard_field(p, r)
         rng = random.Random(fld.q)
         for _ in range(60):
-            inp = QuadSumInput(fld.decode(rng.randrange(1, fld.q)),
-                               fld.decode(rng.randrange(fld.q)),
-                               fld.decode(rng.randrange(fld.q)))
-            assert quad_sum_closed(inp) == quad_sum_brute(inp)
+            inp = (fld.decode(rng.randrange(1, fld.q)),
+                   fld.decode(rng.randrange(fld.q)),
+                   fld.decode(rng.randrange(fld.q)))
+            assert quad_sum_closed(*inp) == quad_sum_brute(*inp)
 
 
 def test_sweep_small_exhaustive():
@@ -120,3 +128,25 @@ def test_random_mode_reports_a_broken_character(broken_chi):
         11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53, 59, 61]
     for r in results:
         assert r.mismatches > 0 and r.conic_violations > 0 and not r.ok
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ({"max_q": 4097}, "capped at q = 4096, got max_q 4097"),
+    ({"exhaustive_max_q": 128}, "capped at q = 127, got exhaustive_max_q 128"),
+], ids=["max-q", "exhaustive-max-q"])
+def test_sweep_bounds_refused_before_any_field(bounds, message, monkeypatch):
+    def fail(*args):
+        raise AssertionError("a field was built above a sweep bound")
+
+    monkeypatch.setattr(legendre, "standard_field", fail)
+    monkeypatch.setattr(legendre, "odd_prime_powers", fail)
+    with pytest.raises(InvalidArgument, match=message):
+        verify_quad_sums(**bounds)
+
+
+def test_sweep_bounds_are_inclusive(monkeypatch):
+    asked = []
+    monkeypatch.setattr(legendre, "odd_prime_powers",
+                        lambda limit: asked.append(limit) or [])
+    assert verify_quad_sums(max_q=4096, exhaustive_max_q=127) == []
+    assert asked == [4096]

@@ -13,20 +13,18 @@ from rankforge import (
     average_A_p_direct,
     construct_family,
     enumerate_prime_ideals,
-    fiber_polynomial,
     is_good_prime,
     make_field,
     nagao_partial_sum,
     rank_estimate,
-    roots_in_fq,
-    trace_a_t,
 )
 from rankforge.errors import BadPrime, InvalidArgument, RankforgeError
 from rankforge.family import ReducedFamily
 from rankforge.finite_field import FqElem, FqField
-from rankforge.nagao import curve_trace, default_checkpoints
-from rankforge.number_field import PrimeIdeal, reduce_elem
+from rankforge.nagao import default_checkpoints
+from rankforge.number_field import PrimeIdeal, prime_ideals_above, reduce_elem
 from conftest import ideal_above
+from oracles import curve_trace, fiber_polynomial, roots_in_fq, trace_a_t
 
 
 def test_curve_trace_oracle_f5():
@@ -359,3 +357,34 @@ def test_rank_estimate_small_window(fam_rat):
     est = rank_estimate(fam_rat, 600)
     assert est.nearest_integer == 6
     assert not est.low_confidence
+
+
+@pytest.fixture(scope="module")
+def fam_x4_minus_2():
+    """rho = (1, 2, theta, 1 + theta, theta^2, 2 + theta), alpha = 1 over
+    Q(2^(1/4))."""
+    K = NumberField([-2, 0, 0, 0, 1])
+    rho = [K.elem(c) for c in ([1], [2], [0, 1], [1, 1], [0, 0, 1], [2, 1])]
+    return construct_family(FamilySpec(K=K, rho=tuple(rho), alpha=K.one))
+
+
+def test_direct_method_reads_only_the_tables(fam_x4_minus_2, monkeypatch):
+    # x^3, g(x) and -h(x) come from the integer tables: no Poly is built or
+    # evaluated and no FqElem list is walked, at residue degrees 1, 2 and 4
+    ideals = [P for p in (23, 5)
+              for P in prime_ideals_above(fam_x4_minus_2.K, p)
+              if is_good_prime(fam_x4_minus_2, P)[0]]
+    assert sorted(P.f for P in ideals) == [1, 1, 2, 4]
+    expected = [average_A_p_analytic(fam_x4_minus_2, P) for P in ideals]
+
+    def refuse(*args):
+        raise AssertionError("the direct method left the integer tables")
+
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    monkeypatch.setattr(Poly, "__call__", refuse)
+    monkeypatch.setattr(FqField, "elements", refuse)
+    for P, analytic in zip(ideals, expected):
+        assert average_A_p_direct(fam_x4_minus_2, P).sum_a_t == \
+            analytic.sum_a_t == -6 * P.norm, P.label()
+    assert expected[-1].sum_a_t == -3750
+

@@ -10,7 +10,6 @@ from rankforge import (
     expand_from_roots,
     factor_mod_p,
     make_field,
-    roots_in_fq,
 )
 from rankforge._modpoly import is_irreducible
 from rankforge.errors import (
@@ -27,6 +26,7 @@ from rankforge.poly import (
     resultant,
 )
 from rankforge.primes import sieve
+from oracles import roots_in_fq
 
 F = Fraction
 
