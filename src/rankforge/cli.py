@@ -188,8 +188,8 @@ def ideals():
 def ideals_list(field_path, max_norm, out):
     """List prime ideals of norm <= X as CSV."""
     K = _load_field_spec(_read_json(field_path))
-    rows = [[P.norm, P.p, P.f, P.e, poly_to_str(P.factor)]
-            for P in enumerate_prime_ideals(K, max_norm)]
+    rows = ([P.norm, P.p, P.f, P.e, poly_to_str(P.factor)]
+            for P in enumerate_prime_ideals(K, max_norm))
     _write_csv(out, ["norm", "p", "f", "e", "factor"], rows)
     skipped = sorted(p for p in K.excluded_primes if p <= max_norm)
     if skipped:

@@ -131,8 +131,9 @@ def default_checkpoints(X):
 def nagao_partial_sum(fam, X, method="analytic", checkpoints=None):
     """Rows of (1/X') sum of -A_p log N(P) over good primes of norm <= X'.
 
-    One pass over the ideals in norm order classifies each once, skips and
-    counts the bad ones and sums theta_good beside the partial sum.
+    One pass over the stream of ideals in norm order classifies each once,
+    skips and counts the bad ones and sums theta_good beside the partial
+    sum; no ideal is held past its turn.
     """
     if method not in ("direct", "analytic"):
         raise InvalidArgument(f"unknown method {method!r}")

@@ -205,7 +205,12 @@ class FieldElem:
                 and self.field == other.field and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        """A constant hashes as the scalar it equals, its Fraction in K and
+        its residue in [0, p) in F_q, so sets and dicts agree with ==. An
+        int outside [0, p) equals its residue in F_q but cannot share its
+        hash."""
+        head, *rest = self.coeffs
+        return hash(self.coeffs if any(rest) else head)
 
 
 def xgcd(f, g):
@@ -298,10 +303,10 @@ def _ddf(f, p, max_norm=math.inf):
     the product of all irreducible factors of that degree, degree ascending.
 
     Only the factors of degree i with p^i <= max_norm are returned: the
-    split stops before the first i with p^i > max_norm, since every factor
-    left then has degree >= i, and the irreducible leftover is kept only
-    when p^deg <= max_norm. For p > sqrt(max_norm) that is at most one
-    power x^p mod f and one gcd.
+    split stops as soon as p^(i+1) > max_norm, since every factor left then
+    has degree > i, and the irreducible leftover is kept only when
+    p^deg <= max_norm. For p > sqrt(max_norm) that is one power x^p mod f
+    and one gcd, and no quotient by the factors found.
     """
     out = []
     h = [0, 1]
@@ -314,6 +319,8 @@ def _ddf(f, p, max_norm=math.inf):
         d = _modpoly.gcd(g, _modpoly.sub(h, [0, 1], p), p)
         if len(d) > 1:
             out.append((d, i))
+            if p ** (i + 1) > max_norm:
+                return out
             g = _modpoly.divmod_(g, d, p)[0]
             h = _modpoly.mod(h, g, p)
         i += 1

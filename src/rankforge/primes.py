@@ -1,4 +1,8 @@
-"""Rational prime utilities: primality, sieving, square roots mod p."""
+"""Rational prime utilities: primality, a segmented sieve, square roots
+mod p."""
+
+import itertools
+import math
 
 # Deterministic Miller-Rabin witness set, valid for all n < PRIME_TEST_BOUND:
 # the least strong pseudoprime to the first 13 prime bases is
@@ -8,6 +12,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 33 * 10 ** 23
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+_BLOCK = 1 << 16  # least number of flags in one block of sieve
 
 
 def is_prime(n):
@@ -39,17 +45,33 @@ def is_prime(n):
 
 
 def sieve(limit):
-    """All primes <= limit, ascending."""
+    """The primes <= limit, ascending, one at a time.
+
+    A segmented sieve of Eratosthenes (Bays and Hudson 1977). The first
+    block, [0, B) with B > sqrt(limit), is sieved alone and holds every
+    prime <= sqrt(limit); each later block [lo, lo + B) crosses off the
+    multiples of those primes. Only they and one block of B flags are held.
+    """
     if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
+        return
+    root = math.isqrt(limit)
+    size = min(limit + 1, max(root + 1, _BLOCK))
+    flags = bytearray([1]) * size
     flags[0] = flags[1] = 0
-    p = 2
-    while p * p <= limit:
+    for p in range(2, math.isqrt(size - 1) + 1):
         if flags[p]:
-            flags[p * p:: p] = bytearray(len(flags[p * p:: p]))
-        p += 1
-    return [i for i in range(2, limit + 1) if flags[i]]
+            flags[p * p::p] = bytes(len(range(p * p, size, p)))
+    base = list(itertools.compress(range(root + 1), flags))
+    yield from itertools.compress(range(size), flags)
+    for lo in range(size, limit + 1, size):
+        hi = min(lo + size, limit + 1)
+        flags = bytearray([1]) * (hi - lo)
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            flags[start - lo::p] = bytes(len(range(start, hi, p)))
+        yield from itertools.compress(range(lo, hi), flags)
 
 
 def sqrt_mod_p(a, p):

@@ -2,6 +2,8 @@
 of K = Q(sqrt 5) and one of F_9, each against an element of another field
 of its kind (Q(i), F_25)."""
 
+from fractions import Fraction
+
 import pytest
 
 from rankforge import NumberField, make_field
@@ -76,3 +78,16 @@ def test_foreign_operands_raise_type_error(x, other):
             eval(f"x {op} other")
         with pytest.raises(TypeError):
             eval(f"other {op} x")
+
+
+def test_constants_hash_as_the_scalars_they_equal(x):
+    fld = x.field
+    two = fld.elem(2)
+    assert len({two, 2}) == 1 and 2 in {two: 1} and two in {2}
+    assert hash(fld.one) == hash(1) and hash(fld.zero) == hash(0)
+    assert x not in {0, 1, 2}
+    if isinstance(fld, NumberField):  # a constant Fraction too
+        half = fld.elem(Fraction(1, 2))
+        assert len({half, Fraction(1, 2)}) == 1 and 2 not in {half}
+    else:  # p + 2 equals 2 in F_q, but cannot hash as it
+        assert two == fld.p + 2 and fld.p + 2 not in {two}

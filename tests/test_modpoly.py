@@ -257,7 +257,7 @@ def trial_division(n, primes):
 
 
 def test_prime_divisors_match_trial_division():
-    primes = sieve(10 ** 6)
+    primes = list(sieve(10 ** 6))
     rng = random.Random(14)
     seeded = [rng.randrange(1, 10 ** 12) for _ in range(500)]
     for n in list(range(1, 20001)) + seeded:
@@ -267,7 +267,7 @@ def test_prime_divisors_match_trial_division():
 def test_prime_divisors_split_semiprimes_of_large_factors():
     # each factor is a prime of 7 to 9 digits by trial division up to its
     # square root; trial division of the product would take up to 10^9 steps
-    primes = sieve(31623)
+    primes = list(sieve(31623))
     rng = random.Random(15)
 
     def random_prime(digits):

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -204,12 +205,15 @@ def test_norm_bound_cuts_distinct_degree_split(monkeypatch):
     # over x^4 - 2 a prime p > sqrt(X) costs one distinct-degree step, the
     # power x^p mod m, and no squarefree split: the step to x^(p^2) and
     # gcd(m, m') are skipped. Distinct-degree steps are the powmods to the
-    # exponent p; equal-degree splitting raises to (p^d - 1)/2.
+    # exponent p; equal-degree splitting raises to (p^d - 1)/2. landau_sum
+    # splits nothing into irreducibles, so at such a p it divides nothing:
+    # the product of the roots is not divided out of m, since no factor of
+    # degree 2 can fit.
     from rankforge import _modpoly
     from rankforge import poly
 
-    steps_at, sff_at = [], []
-    powmod, sff = _modpoly.powmod, poly._sff
+    steps_at, sff_at, quotients_at = [], [], []
+    powmod, sff, divmod_ = _modpoly.powmod, poly._sff, _modpoly.divmod_
 
     def counting_powmod(f, e, m, p):
         if e == p:
@@ -220,19 +224,52 @@ def test_norm_bound_cuts_distinct_degree_split(monkeypatch):
         sff_at.append(p)
         return sff(f, p)
 
+    def counting_divmod(f, g, p):
+        quotients_at.append(p)
+        return divmod_(f, g, p)
+
     monkeypatch.setattr(_modpoly, "powmod", counting_powmod)
     monkeypatch.setattr(poly, "_sff", counting_sff)
+    monkeypatch.setattr(_modpoly, "divmod_", counting_divmod)
     X = 2000
     large = [p for p in sieve(X) if p * p > X]
     K = NumberField([-2, 0, 0, 0, 1])
-    for run in (enumerate_prime_ideals, landau_sum):
+    # one pass each: list() would ask len() first, a pass of its own
+    for run in (lambda: [P for P in enumerate_prime_ideals(K, X)],
+                lambda: landau_sum(K, X)):
         steps_at.clear()
-        run(K, X)
-        assert sorted(p for p in steps_at if p * p > X) == large, run
+        quotients_at.clear()
+        run()
+        assert sorted(p for p in steps_at if p * p > X) == large
+    assert quotients_at and not [p for p in quotients_at if p * p > X]
     assert sff_at == []
     # with no exclusions the squarefree split runs at p | disc(m) alone
     landau_sum(NumberField([1, -1, 0, 1], excluded_primes=[]), X)
     assert sff_at == [23]
+
+
+def _peak_bytes(run):
+    """The tracemalloc peak of run(), in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_norm_ordered_passes_hold_no_list():
+    # a list of every prime, log or ideal up to X = 10^5 passes the bound:
+    # with them, landau_sum over Q(cbrt 2) peaked at 0.71 MiB and a pass
+    # over the ideals of Q(sqrt 5) at 3.1 MiB. Streamed, each holds one
+    # block of sieve flags, the primes up to sqrt(X), a heap of the ideals
+    # of norm p^d > p and one batch: 0.13 and 0.18 MiB. (tracemalloc slows
+    # both about twentyfold, so X stays small.)
+    X, bound = 10 ** 5, 400 * 1024
+    cbrt2, sqrt5 = NumberField([-2, 0, 0, 1]), NumberField([-1, -1, 1])
+    assert _peak_bytes(lambda: landau_sum(cbrt2, X)) < bound
+    one_pass = lambda: [None for _ in enumerate_prime_ideals(sqrt5, X)]
+    assert _peak_bytes(one_pass) < bound
 
 
 def test_dedekind_criterion():

@@ -137,7 +137,7 @@ def test_reduction_builds_no_multiply_kernel():
     # no ideal builds a packed kernel for its modulus
     for name in ("sqrt5 with denominators", "cbrt2"):
         fam = FAMILIES[name]()
-        ideals = enumerate_prime_ideals(fam.K, X)
+        ideals = list(enumerate_prime_ideals(fam.K, X))
         misses = _modpoly._kernel.cache_info().misses
         for P in ideals:
             _reduce(fam, P)
