@@ -6,7 +6,8 @@ modulus; the prime-field case r = 1 goes through the same code path.
 FqElem with chi(u) (squares table) and quadratic_character (Euler's
 criterion) is the simple element-level path that the reference oracles of
 the test suite read. FqField.tables() codes elements as ints with O(q)
-log/antilog tables (Lidl-Niederreiter, Finite Fields, ch. 9) for the two
+log/antilog tables (Lidl-Niederreiter, Finite Fields, ch. 9), walked on
+plain int coefficient vectors with no FqElem in the loop, for the two
 brute-force kernels of the t-sum of chi(a t^2 + b t + c), both summing chi
 over every t. FqTables.t_sums takes a whole batch of triples in one pass
 over t: each triple is a slot of packed digit-plane ints, a t^2 + b t + c
@@ -15,7 +16,8 @@ and chi is read for every slot at once by bytes.translate. The random
 Legendre sweep and the direct A_p method in nagao (minus its sum over x,
 its triples built on the same tables) use it. FqTables.row_sums gives all
 q values of c of one (a, b) at once from a packed chi, for the exhaustive
-Legendre sweep. The analytic A_p method needs no tables.
+Legendre sweep, which checks each such row whole against its closed form.
+The analytic A_p method needs no tables.
 """
 
 import itertools
@@ -110,7 +112,9 @@ class FqField:
         Coefficients c_0..c_{r-1} give the code sum c_i (2p-1)^i, so adding
         two codes never carries: red[a + b] is the code of the sum, and log
         (and chi()) accept such a sum too. exp and log come from walking the
-        powers of a primitive element g in FqElem arithmetic: exp[k] is the
+        powers of a primitive element g on coefficient vectors of plain
+        ints: times g is the linear map whose r columns are g theta^i, built
+        once, and each power's code is read off its vector. exp[k] is the
         code of g^k, so exp[log[a] + log[b]] is the product; log 0 is a
         sentinel past which exp reads 0. -1 = g^((q-1)/2) has the code p - 1,
         so -a is exp[log[a] + log[p - 1]].
@@ -131,13 +135,18 @@ class FqField:
             g = self.decode(i)
             if all(g ** e != self.one for e in exponents):
                 break
+        # u -> u g on coefficient vectors: row j of the map holds
+        # coefficient j of each column g theta^i
+        rows = list(zip(*(self.elem([0] * i + list(g.coeffs)).coeffs
+                          for i in range(r))))
+        weights = [base ** i for i in range(r)]
         zero_log = 2 * (q - 1)  # above any sum of two logs of nonzero codes
-        log, powers, u = [zero_log] * len(red), [], self.one
+        log, powers, u = [zero_log] * len(red), [], [1] + [0] * (r - 1)
         for k in range(q - 1):
-            code = codes[self.encode(u)]
+            code = sum(map(operator.mul, u, weights))
             log[code] = k
             powers.append(code)
-            u = u * g
+            u = [sum(map(operator.mul, u, row)) % p for row in rows]
         log = list(map(log.__getitem__, red))
         return FqTables(codes, red, log, powers * 2 + [0] * (2 * q - 1), p, r)
 

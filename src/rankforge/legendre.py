@@ -4,11 +4,14 @@ For a != 0 the t-sum of chi(a t^2 + b t + c) collapses to (q-1)chi(a) when
 the discriminant vanishes and -chi(a) otherwise, and for a nondegenerate
 conic s^2 = a t^2 + b t + c the point count q + (that sum) lies in
 [q - 1, q + 1]. verify_quad_sums checks both against brute-force t-sums
-over every t: FqTables.row_sums gives the q sums of each (a, b) row of an
-exhaustive field at once, and FqTables.t_sums, the kernel the direct A_p
-method in nagao adds up over x, gives those of all the random triples of a
-field in one packed pass over t. A sweep past MAX_Q or EXHAUSTIVE_MAX_Q
-is refused before any field is built.
+over every t. In an exhaustive field FqTables.row_sums gives the q sums of
+each (a, b) row at once, and the row is checked whole: one list compare
+against the closed-form row, -chi(a) at every c but (q-1)chi(a) at the one
+degenerate c = b^2 / (4a), found from logs; only a row that differs is
+counted entry by entry. FqTables.t_sums, the kernel the direct A_p method
+in nagao adds up over x, gives the sums of all the random triples of a
+field in one packed pass over t, checked triple by triple. A sweep past
+MAX_Q or EXHAUSTIVE_MAX_Q is refused before any field is built.
 """
 
 import random
@@ -50,13 +53,36 @@ def standard_field(p, r):
     return FqField(p, find_irreducible(p, r))
 
 
-def _exhaustive_sums(tables):
-    """Every (a, b, c) with a != 0, a row of q sums per (a, b) from
-    FqTables.row_sums, as ((log a, log b, code c), t-sum) pairs."""
-    codes, log = tables.codes, tables.log
+def _row_check(tables):
+    """(checked, mismatches, conic_violations) over every (a, b, c) with
+    a != 0, one (a, b) row of q t-sums from FqTables.row_sums at a time.
+
+    The closed-form row is -chi(a) at every c but the degenerate
+    c* = b^2 / (4a), of log 2 log b - log 4 - log a (c* = 0 when b = 0),
+    where it is (q-1)chi(a). A row equal to it is q triples with no
+    mismatch and no violation, as |-chi(a)| = 1; any other row is counted
+    entry by entry, by the rule of _sweep.
+    """
+    codes, log, exp, p = tables.codes, tables.log, tables.exp, tables.p
+    q, order, zero_log = len(codes), len(codes) - 1, log[0]
+    chi = tables.chi()
+    four = log[codes[4 % p]]  # constants embed along the prime subfield
+    index = {c: i for i, c in enumerate(codes)}
     rows = [(log[a], log[b]) for a in codes[1:] for b in codes]
+    mism = viol = 0
     for (la, lb), sums in zip(rows, tables.row_sums(rows)):
-        yield from zip(((la, lb, c) for c in codes), sums)
+        chi_a = chi[exp[la]]
+        star = (0 if lb == zero_log
+                else index[exp[(2 * lb - four - la) % order]])
+        expected = [-chi_a] * q
+        expected[star] = (q - 1) * chi_a
+        if sums == expected:
+            continue
+        for i, (s, e) in enumerate(zip(sums, expected)):
+            mism += s != e
+            # the parametrization bound applies to the nondegenerate conic only
+            viol += i != star and not -1 <= s <= 1
+    return len(rows) * q, mism, viol
 
 
 def _random_sums(tables, rng):
@@ -71,7 +97,7 @@ def _random_sums(tables, rng):
 
 def _sweep(tables, sums):
     """Closed form and conic bound on ((log a, log b, code c), t-sum) pairs
-    over F_q, q = len(tables.codes)."""
+    over F_q, q = len(tables.codes), one triple at a time."""
     codes, log, exp, p = tables.codes, tables.log, tables.exp, tables.p
     q = len(codes)
     chi = tables.chi()
@@ -109,10 +135,10 @@ def verify_quad_sums(max_q=343, exhaustive_max_q=49, seed=0):
         exhaustive = q <= exhaustive_max_q
         tables = standard_field(p, r).tables()
         if exhaustive:
-            sums = _exhaustive_sums(tables)
+            checked, mism, viol = _row_check(tables)
         else:
-            sums = _random_sums(tables, random.Random(seed * 1000003 + q))
-        checked, mism, viol = _sweep(tables, sums)
+            checked, mism, viol = _sweep(tables, _random_sums(
+                tables, random.Random(seed * 1000003 + q)))
         results.append(SweepResult(
             q=q, p=p, r=r,
             mode="exhaustive" if exhaustive else "random",

@@ -31,9 +31,13 @@ DIRECT_NORM_CAP = 1000  # O(q^2) work; analytic is the default beyond this
 class ApResult(NamedTuple):
     prime: object  # PrimeIdeal
     sum_a_t: int
-    A_p: Fraction
     method: str
     good: bool
+
+    @property
+    def A_p(self):
+        """The average of a_t over the N(P) fibers, exactly."""
+        return Fraction(self.sum_a_t, self.prime.norm)
 
 
 def _reduced(fam, P):
@@ -68,8 +72,7 @@ def average_A_p_direct(fam, P):
         (zero_log if lx == zero_log else 3 * lx % order,
          log[exp[log_two + log[horner(g, lx)]]], horner(minus_h, lx))
         for lx in map(log.__getitem__, codes)))
-    return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, P.norm),
-                    method="direct", good=True)
+    return ApResult(prime=P, sum_a_t=total, method="direct", good=True)
 
 
 def average_A_p_analytic(fam, P):
@@ -88,8 +91,7 @@ def average_A_p_analytic(fam, P):
     euler = [_modpoly.powmod(_modpoly.trim(list(r)), (q - 1) // 2, m, p)
              for r in reduced.roots]
     total = -q * sum(1 if u == [1] else -1 for u in euler)
-    return ApResult(prime=P, sum_a_t=total, A_p=Fraction(total, q),
-                    method="analytic", good=True)
+    return ApResult(prime=P, sum_a_t=total, method="analytic", good=True)
 
 
 def check_direct_cap(norm):
@@ -157,7 +159,7 @@ def nagao_partial_sum(fam, X, method="analytic", checkpoints=None):
             skipped += 1
             continue
         res = average_A_p(fam, P, method=method)
-        total += -float(res.A_p) * math.log(P.norm)
+        total += -res.sum_a_t / P.norm * math.log(P.norm)
         theta += math.log(P.norm)
         used += 1
     for cutoff in checkpoints[len(rows):]:

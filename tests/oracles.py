@@ -5,6 +5,9 @@ chi from FqField.chi (the squares table), so it shares no arithmetic with
 FqField.tables(), FqTables.t_sums or the A_p methods it checks: roots
 found by scanning every element, point counts of a fiber over every x,
 and quadratic character sums over every t, beside their closed form.
+sweep_counts applies the Legendre sweep's rule triple by triple, finding
+the degenerate triples by b^2 = 4ac in FqElem arithmetic; it reads chi(a)
+from FqTables.chi, as the sweep does, so a broken chi bites both alike.
 """
 
 from rankforge.errors import BadPrime, ZeroLeadingCoefficient, ZeroPolynomial
@@ -85,3 +88,25 @@ def quad_sum_brute(a, b, c):
     fld = a.field
     chi = fld.chi
     return sum(chi(a * t * t + b * t + c) for t in fld.elements())
+
+
+def sweep_counts(fld, tables):
+    """(checked, mismatches, conic_violations) of every (a, b, c) with
+    a != 0 over fld, on the t-sums of tables.row_sums, triple by triple:
+    a mismatch where the sum is not its closed form, a violation where a
+    nondegenerate conic has a sum outside [-1, 1]."""
+    elems, code, log = fld.elements(), tables.code, tables.log
+    chi = tables.chi()
+    pairs = [(a, b) for a in elems[1:] for b in elems]
+    rows = [(log[code(a.coeffs)], log[code(b.coeffs)]) for a, b in pairs]
+    checked = mism = viol = 0
+    for (a, b), sums in zip(pairs, tables.row_sums(rows), strict=True):
+        chi_a, b2, a4 = chi[code(a.coeffs)], b * b, 4 * a
+        for c, s in zip(elems, sums, strict=True):
+            degenerate = b2 == a4 * c
+            checked += 1
+            if s != ((fld.q - 1) * chi_a if degenerate else -chi_a):
+                mism += 1
+            if not degenerate and not -1 <= s <= 1:
+                viol += 1
+    return checked, mism, viol

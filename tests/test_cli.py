@@ -195,7 +195,7 @@ def test_nagao_ap_both_fails_where_the_methods_disagree(runner, family_file,
 
     real = nagao.average_A_p_direct
 
-    def off_by_one(fam, P):  # the sum only; A_p stays -6
+    def off_by_one(fam, P):  # A_p is read from the sum, so it follows
         res = real(fam, P)
         return res._replace(sum_a_t=res.sum_a_t + 1)
 
@@ -206,7 +206,7 @@ def test_nagao_ap_both_fails_where_the_methods_disagree(runner, family_file,
     assert res.exit_code == 1
     assert isinstance(res.exception, InternalIdentityFailure)
     assert res.output == (
-        "(37, 0,1): norm=37 method=direct sum_a_t=-221 A_p=-6 good=True\n"
+        "(37, 0,1): norm=37 method=direct sum_a_t=-221 A_p=-221/37 good=True\n"
         "(37, 0,1): norm=37 method=analytic sum_a_t=-222 A_p=-6 good=True\n")
     monkeypatch.setattr(cli.gc, "freeze", lambda: None)
     monkeypatch.setattr(cli.sys, "argv", ["rankforge", *args])

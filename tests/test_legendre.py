@@ -5,8 +5,9 @@ import pytest
 from rankforge import legendre, make_field
 from rankforge.errors import FieldMismatch, InvalidArgument
 from rankforge.errors import ZeroLeadingCoefficient
-from rankforge.legendre import standard_field, verify_quad_sums
-from oracles import quad_sum_brute, quad_sum_closed
+from rankforge.legendre import (
+    odd_prime_powers, standard_field, verify_quad_sums)
+from oracles import quad_sum_brute, quad_sum_closed, sweep_counts
 
 
 def triple(fld, a, b, c):
@@ -103,6 +104,32 @@ def test_sweep_small_exhaustive():
         assert r.mode == "exhaustive"
         assert r.checked == (r.q - 1) * r.q * r.q
         assert r.ok
+
+
+@pytest.mark.parametrize("chi", ["true", "broken"])
+@pytest.mark.parametrize("q,p,r", odd_prime_powers(27))
+def test_row_check_counts_as_the_per_triple_rule(q, p, r, chi, request):
+    if chi == "broken":
+        request.getfixturevalue("broken_chi")
+    fld = standard_field(p, r)
+    tables = fld.tables()
+    counts = legendre._row_check(tables)
+    assert counts == sweep_counts(fld, tables)
+    if chi == "true":
+        assert counts == ((q - 1) * q * q, 0, 0)
+    else:
+        assert counts[1] > 0 and counts[2] > 0
+
+
+def test_benchmark_sweep_checks_every_row():
+    # the legendre_sweep workload: exhaustive up to 31, random above
+    results = verify_quad_sums(max_q=169, exhaustive_max_q=31)
+    assert len(results) == 46
+    for r in results:
+        assert r.checked == ((r.q - 1) * r.q * r.q if r.q <= 31 else 1000)
+        assert r.mode == ("exhaustive" if r.q <= 31 else "random")
+        assert r.ok
+    assert sum(r.checked for r in results) == 146390
 
 
 def test_sweep_random_mode_counts():

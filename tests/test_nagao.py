@@ -318,6 +318,26 @@ def test_rank_path_builds_no_tables(fam_sqrt5, monkeypatch):
     assert rank_estimate(fam_sqrt5, 2000).nearest_integer == 6
 
 
+def test_rank_path_builds_no_fractions(fam_sqrt5, monkeypatch):
+    # -sum_a_t / N(P) is the correctly rounded A_p, as float(A_p) was
+    from rankforge import nagao
+
+    expected = 0.0
+    for P in enumerate_prime_ideals(fam_sqrt5.K, 2000):
+        if is_good_prime(fam_sqrt5, P)[0]:
+            A_p = average_A_p_analytic(fam_sqrt5, P).A_p
+            assert A_p == -6
+            expected += -float(A_p) * math.log(P.norm)
+
+    def refuse(*args):
+        raise AssertionError("the rank path must not build a Fraction")
+
+    monkeypatch.setattr(nagao, "Fraction", refuse)
+    est = rank_estimate(fam_sqrt5, 2000)
+    assert est.partial_sum == expected / 2000
+    assert est.nearest_integer == 6
+
+
 def test_rank_path_over_q_builds_no_fq_elements(fam_rat, fam_sqrt5, fam_cbrt2,
                                                 monkeypatch):
     # every residue degree reduces and counts on plain ints from start to
