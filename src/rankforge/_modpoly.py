@@ -13,22 +13,28 @@ degree d, and its operands reduced mod m. The kernel packs the residues
 into one int, slot i holding coefficient i (Kronecker substitution;
 Harvey 2009), so a product is one big-int multiply, and reduces the
 product with a fixed handful of whole-int operations and no loop over
-slots (_kernel): the degree by polynomial Barrett, the quotient
+slots: the degree by polynomial Barrett, the quotient
 floor(floor(v / x^d) floor(x^(2d-1) / m) / x^(d-1)) times the packed
 -m mod p, and the coefficients by a SWAR Barrett step (Barrett 1986) that
 brings every slot into [0, 2p) at once. Residues stay lazy, in [0, 2p),
 while powmod squares and multiplies; each coefficient takes its one % p
 when it is unpacked. Every slot value is below 6 d p^2, and a slot is
 _slot_bits(d, p) bits wide, enough for that bound times the Barrett
-multiplier, so large p only widens the slots. The per-(m, p) constants are
-cached. For a base of x, powmod's multiply after a squaring is a one-slot
-shift of the square.
+multiplier, so large p only widens the slots.
+
+_kernel(m, p) holds no code, only the constants of one (m, p): the slot
+width, t and floor(2^t / p), the masks, and the packed mu and -m mod p,
+mu's d coefficients from their recurrence in plain int loops. A new
+modulus, as at every p of a Dedekind split, costs those few int steps;
+the last 32 are cached, for FqElem's repeated multiplies. mulmod and
+powmod both run _ladder, one loop of products whose three Barrett steps
+are written inline, with no call per product. For a base of x, powmod's
+multiply after a squaring is a one-slot shift of the square.
 """
 
 import functools
 import itertools
 import math
-import operator
 
 from .primes import PRIME_TEST_BOUND, is_prime
 
@@ -112,9 +118,10 @@ def monic(f, p):
 
 
 def gcd(f, g, p):
-    while g:
+    """The monic gcd; a nonzero constant remainder ends it at [1]."""
+    while len(g) > 1:
         f, g = g, mod(f, g, p)
-    return monic(f, p)
+    return [1] if g else monic(f, p)
 
 
 def _slot_bits(d, p):
@@ -136,24 +143,20 @@ def _pack(coeffs, bits):
     return v
 
 
-def _unpack(v, d, bits, p):
-    """The d low slots of v, each taken % p."""
-    mask = (1 << bits) - 1
-    return trim([(v >> shift & mask) % p for shift in range(0, d * bits, bits)])
-
-
 @functools.lru_cache(maxsize=32)
 def _kernel(m, p):
-    """(d, slot bits, reduce) for a monic m of degree d, given as a tuple.
+    """(bits, t, mu_p, low, qmask, mu, negm) for a monic m of degree d,
+    given as a tuple: the plain constants of the reduction _ladder runs.
 
-    reduce(v) takes a packed polynomial of degree at most 2d - 1 whose
-    coefficients are at most d (2p - 1)^2, the product of two residues
-    with coefficients in [0, 2p), possibly times x, and returns v mod m
+    The reduction takes a packed polynomial v of degree at most 2d - 1
+    whose coefficients are at most d (2p - 1)^2, the product of two
+    residues with coefficients in [0, 2p), possibly times x, to v mod m
     with every coefficient in [0, 2p) and congruent to the true one mod p.
 
     Degree: polynomial Barrett with mu = floor(x^(2d-1) / m) over F_p.
     The quotient of v by m is q = floor(floor(v / x^d) mu / x^(d-1)),
-    exactly, and v mod m is the low d slots of v + q (-m mod p).
+    exactly, and v mod m is the low d slots of v + q (-m mod p), kept by
+    the mask low; negm is -m mod p packed.
 
     Coefficients: one SWAR Barrett step acts on every slot at once,
     x - floor(x mu_p / 2^t) p with mu_p = floor(2^t / p) and 2^t >= 2V.
@@ -162,65 +165,83 @@ def _kernel(m, p):
     q and on the result, where the slots are at most d (2p - 1)^2,
     d (2p - 1)(p - 1) and d (2p - 1)(3p - 2), all below V = 6 d p^2.
     With slots of _slot_bits(d, p) bits nothing carries from one slot
-    into the next, and the masks keep each slot's quotient to itself.
+    into the next, and qmask, the low bits - t bits of every slot, keeps
+    each slot's quotient to itself.
     """
     d = len(m) - 1
     bits = _slot_bits(d, p)
     t = (6 * d * p * p).bit_length() + 1
-    mu_p = (1 << t) // p
-    high = d * bits
-    low = (1 << high) - 1
-    top = high - bits
-    qmask = ((1 << bits - t) - 1) * (low // ((1 << bits) - 1))
     # mu reversed is 1 / (x^d m(1/x)) to d terms: c_k = -sum m_(d-j) c_(k-j),
     # and c_k goes to slot d - 1 - k; slot k of negm is -m_k mod p
     c = [1]
-    mu = 1
+    mu = ones = 1
     negm = -m[d - 1] % p
     for k in range(1, d):
-        c.append(-sum(map(operator.mul, m[d - k:d], c)) % p)
-        mu = mu << bits | c[k]
+        s = 0
+        for j in range(1, k + 1):
+            s -= m[d - j] * c[k - j]
+        s %= p
+        c.append(s)
+        mu = mu << bits | s
         negm = negm << bits | -m[d - 1 - k] % p
+        ones = ones << bits | 1
+    return (bits, t, (1 << t) // p, (1 << d * bits) - 1,
+            ((1 << bits - t) - 1) * ones, mu, negm)
 
-    def reduce(v):
+
+def _ladder(a, b, steps, by_x, m, p):
+    """a after steps, each a product reduced mod m on the packed residues:
+    "0" squares, "1" multiplies by b or, with by_x, squares and shifts up
+    one slot (times x). The three Barrett steps of _kernel run inline, and
+    each slot takes its one % p when the result is unpacked."""
+    d = len(m) - 1
+    bits, t, mu_p, low, qmask, mu, negm = _kernel(tuple(m), p)
+    high = d * bits
+    top = high - bits
+    v = _pack(a, bits)
+    base = v if b is a else _pack(b, bits)
+    for s in steps:
+        if s == "0":
+            v *= v
+        elif by_x:
+            v = v * v << bits
+        else:
+            v *= base
         h = v >> high
         h -= (h * mu_p >> t & qmask) * p
         q = h * mu >> top
         q -= (q * mu_p >> t & qmask) * p
         v = (v + q * negm) & low
-        return v - (v * mu_p >> t & qmask) * p
-
-    return d, bits, reduce
+        v -= (v * mu_p >> t & qmask) * p
+    mask = (1 << bits) - 1
+    return trim([(v >> shift & mask) % p for shift in range(0, high, bits)])
 
 
 def mulmod(a, b, m, p):
     """a * b mod m for monic m and a, b of degree below deg m: one big-int
     product of the packed operands (Kronecker substitution), reduced by
-    the kernel of m and unpacked."""
-    d, bits, reduce = _kernel(tuple(m), p)
-    return _unpack(reduce(_pack(a, bits) * _pack(b, bits)), d, bits, p)
+    the constants of m's kernel and unpacked."""
+    return _ladder(a, b, "1", False, m, p)
 
 
 def powmod(f, e, m, p):
     """f^e mod a monic m, left-to-right square and multiply on the kernel
     of mulmod, packed from start to end with lazy residues in [0, 2p); a
     constant f stays in F_p, and multiplying by a base of x shifts the
-    square by one slot."""
+    square by one slot. A negative e is refused unless f is a constant:
+    take the inverse of f first."""
     if len(f) <= 1:
         return trim([pow(f[0] if f else 0, e, p)])
+    if e < 0:
+        raise ValueError(f"powmod of a non-constant base needs e >= 0, got {e}")
     if e == 0:
         return [1]
     if len(f) >= len(m):
         f = mod(f, m, p)
-    d, bits, reduce = _kernel(tuple(m), p)
     by_x = f == [0, 1]
-    v = base = _pack(f, bits)
-    for bit in bin(e)[3:]:
-        v *= v
-        if bit == "1":
-            v = v << bits if by_x else reduce(v) * base
-        v = reduce(v)
-    return _unpack(v, d, bits, p)
+    steps = bin(e)[3:]
+    return _ladder(f, f, steps if by_x else steps.replace("1", "01"),
+                   by_x, m, p)
 
 
 def deriv(f, p):

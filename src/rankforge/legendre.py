@@ -87,11 +87,25 @@ def _row_check(tables):
 
 def _random_sums(tables, rng):
     """RANDOM_TRIPLES seeded triples with a != 0, all from one batched
-    FqTables.t_sums, as ((log a, log b, code c), t-sum) pairs."""
+    FqTables.t_sums, as ((log a, log b, code c), t-sum) pairs.
+
+    The indices of a, b and c are those of rng.randrange(1, q),
+    rng.randrange(q) and rng.randrange(q), in that order, drawn by
+    randrange's own rejection loop: getrandbits(n.bit_length()) until the
+    draw is below n."""
     codes, log = tables.codes, tables.log
     q = len(codes)
-    coded = [(log[codes[rng.randrange(1, q)]], log[codes[rng.randrange(q)]],
-              codes[rng.randrange(q)]) for _ in range(RANDOM_TRIPLES)]
+    getrandbits = rng.getrandbits
+    draws = []
+    for n in (q - 1, q, q) * RANDOM_TRIPLES:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        draws.append(r)
+    it = iter(draws)
+    coded = [(log[codes[a + 1]], log[codes[b]], codes[c])
+             for a, b, c in zip(it, it, it)]
     return zip(coded, tables.t_sums(coded))
 
 

@@ -316,7 +316,10 @@ def _ddf(f, p, max_norm=math.inf):
         if p ** i > max_norm:
             return out
         h = _modpoly.powmod(h, p, g, p)
-        d = _modpoly.gcd(g, _modpoly.sub(h, [0, 1], p), p)
+        # h - x on a copy, since h goes on to the next degree
+        hx = h + [0] * (2 - len(h))
+        hx[1] = (hx[1] - 1) % p
+        d = _modpoly.gcd(g, _modpoly.trim(hx), p)
         if len(d) > 1:
             out.append((d, i))
             if p ** (i + 1) > max_norm:

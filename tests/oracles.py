@@ -8,6 +8,7 @@ and quadratic character sums over every t, beside their closed form.
 sweep_counts applies the Legendre sweep's rule triple by triple, finding
 the degenerate triples by b^2 = 4ac in FqElem arithmetic; it reads chi(a)
 from FqTables.chi, as the sweep does, so a broken chi bites both alike.
+randrange_triples draws the random sweep's triples with rng.randrange.
 """
 
 from rankforge.errors import BadPrime, ZeroLeadingCoefficient, ZeroPolynomial
@@ -110,3 +111,13 @@ def sweep_counts(fld, tables):
             if not degenerate and not -1 <= s <= 1:
                 viol += 1
     return checked, mism, viol
+
+
+def randrange_triples(tables, rng, count):
+    """count (log a, log b, code c) triples over the field of tables, with
+    a, b and c indexed by rng.randrange(1, q), rng.randrange(q) and
+    rng.randrange(q) in turn: the draws the random Legendre sweep makes."""
+    codes, log = tables.codes, tables.log
+    q = len(codes)
+    return [(log[codes[rng.randrange(1, q)]], log[codes[rng.randrange(q)]],
+             codes[rng.randrange(q)]) for _ in range(count)]

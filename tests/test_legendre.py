@@ -7,7 +7,8 @@ from rankforge.errors import FieldMismatch, InvalidArgument
 from rankforge.errors import ZeroLeadingCoefficient
 from rankforge.legendre import (
     odd_prime_powers, standard_field, verify_quad_sums)
-from oracles import quad_sum_brute, quad_sum_closed, sweep_counts
+from oracles import (
+    quad_sum_brute, quad_sum_closed, randrange_triples, sweep_counts)
 
 
 def triple(fld, a, b, c):
@@ -130,6 +131,20 @@ def test_benchmark_sweep_checks_every_row():
         assert r.mode == ("exhaustive" if r.q <= 31 else "random")
         assert r.ok
     assert sum(r.checked for r in results) == 146390
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_random_draws_are_those_of_randrange(seed):
+    # the sweep draws by randrange's own rejection loop on getrandbits, so
+    # every seed keeps its triples; q = 3 and 5 draw a from 2 and 4 values,
+    # where q - 1 is a power of two
+    for q, p, r in odd_prime_powers(169):
+        tables = standard_field(p, r).tables()
+        rng = random.Random(seed * 1000003 + q)
+        drawn = [t for t, _ in legendre._random_sums(tables, rng)]
+        want = randrange_triples(
+            tables, random.Random(seed * 1000003 + q), legendre.RANDOM_TRIPLES)
+        assert drawn == want, q
 
 
 def test_sweep_random_mode_counts():

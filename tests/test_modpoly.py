@@ -208,6 +208,45 @@ def test_powmod_base_divisible_by_modulus():
     assert _modpoly.powmod(_modpoly.mul(m, [1, 4], 7), 5, m, 7) == []
 
 
+def test_powmod_refuses_a_negative_exponent_on_a_non_constant_base():
+    # 1 + x has the inverse 4 + 3x in F_49 = F_7[x]/(x^2 + 1); a negative
+    # power of a polynomial is refused rather than computed wrong, while a
+    # constant base is inverted in F_p
+    m, p = [1, 0, 1], 7
+    assert _modpoly.mulmod([1, 1], [4, 3], m, p) == [1]
+    for e in (-1, -2, -(2 ** 70)):
+        with pytest.raises(ValueError):
+            _modpoly.powmod([1, 1], e, m, p)
+        with pytest.raises(ValueError):
+            _modpoly.powmod([0, 1], e, m, p)
+    assert _modpoly.powmod([3], -1, m, p) == [5]
+    assert _modpoly.powmod([3], -2, m, p) == [4]
+
+
+def test_more_moduli_than_the_kernel_cache_holds():
+    # every (m, p) builds its own constants: 24 worst-case moduli (-m =
+    # p - 1) and 216 random ones over d = 1..6 and p = 2, 3, 30011 and
+    # 2^89 - 1, far more than the cache keeps, each taken twice with
+    # powmod and mulmod interleaved, so the second round rebuilds them all
+    rng = random.Random(25)
+    cases = []
+    for degree in range(1, 7):
+        for p in (2, 3, 30011, 2 ** 89 - 1):
+            a, m = worst_case(p, degree)
+            cases.append((a, m, p))
+            cases += [(a, rand_monic(rng, p, degree), p) for _ in range(9)]
+    assert len({(tuple(m), p) for _, m, p in cases}) >= 200
+    assert len(cases) > 4 * _modpoly._kernel.cache_info().maxsize
+    for _ in range(2):
+        for a, m, p in cases:
+            b = rand_poly(rng, p, len(m) - 1)
+            e = rng.choice((p - 1, 2 ** 20 - 1, rng.randrange(2 ** 40)))
+            assert _modpoly.powmod(a, e, m, p) == ref_powmod(a, e, m, p)
+            assert _modpoly.mulmod(a, b, m, p) == ref_mulmod(a, b, m, p)
+            assert (_modpoly.powmod([0, 1], p, m, p)
+                    == ref_powmod([0, 1], p, m, p))
+
+
 @pytest.mark.parametrize("monic", [True, False])
 def test_divmod_matches_reference(monic):
     rng = random.Random(monic)
