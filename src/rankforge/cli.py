@@ -7,23 +7,22 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (any
 InvalidArgument: the library decides them; this module checks JSON shape).
 """
 
+import argparse
 import contextlib
 import csv
 import gc
 import json
 import os
+import re
 import sys
-
-import click
 
 from . import legendre as legendre_mod
 from . import nagao as nagao_mod
 from .errors import InternalIdentityFailure, InvalidArgument, RankforgeError
 from .family import FamilySpec, construct_family, is_good_prime
 from .finite_field import make_field, quadratic_character
-from .number_field import NumberField, landau_sum
+from .number_field import NumberField, enumerate_prime_ideals, landau_sum
 from .number_field import prime_ideals_above
-from .number_field import enumerate_prime_ideals
 from .poly import fraction_to_str, poly_from_str, poly_to_str
 from .primes import sieve
 
@@ -31,25 +30,28 @@ DEFAULT_SEED = 20140615
 
 
 def _at_least(low):
-    """Option callback that refuses values below low."""
-    def check(ctx, param, value):
+    """Option type: an integer no smaller than low."""
+    def check(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
         if value < low:
-            raise InvalidArgument(
-                f"{param.opts[0]} must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return check
 
 
-def _out_path(ctx, param, value):
-    """--out is "-" or a file in an existing directory; checked before any
-    work, creating nothing."""
-    if value is None or value == "-":
+def _out_path(value):
+    """--out is "-" or a file in an existing directory; creates nothing."""
+    if value == "-":
         return value
     if os.path.isdir(value):
-        raise InvalidArgument(f"--out {value} is a directory")
+        raise argparse.ArgumentTypeError(f"{value} is a directory")
     folder = os.path.dirname(value)
     if not os.path.isdir(folder or "."):
-        raise InvalidArgument(f"--out {value}: no directory {folder}")
+        raise argparse.ArgumentTypeError(f"{value}: no directory {folder}")
     return value
 
 
@@ -118,73 +120,82 @@ def _write_csv(out, header, rows):
         w.writerows(rows)
 
 
-class UsageFailure(click.ClickException):
-    """A malformed spec or option: one line on stderr, exit code 2."""
+class _Parser(argparse.ArgumentParser):
+    """Raises InvalidArgument where argparse would print usage and exit;
+    takes --help (no -h) and no abbreviated option."""
 
-    exit_code = 2
+    def __init__(self, prog=None, description=None):
+        super().__init__(prog=prog, description=description,
+                         allow_abbrev=False, add_help=False)
+        self.add_argument("--help", action="help",
+                          help="show this message and exit")
+        # "-2,0,1" (a modulus) is a value, not an unknown option
+        self._negative_number_matcher = re.compile(r"-\d")
 
-
-@contextlib.contextmanager
-def _one_line_usage_errors():
-    try:
-        yield
-    except InvalidArgument as exc:
-        raise UsageFailure(str(exc)) from exc
-    except getattr(click.exceptions, "NoArgsIsHelpError", ()):
-        raise  # click >= 8.2: the help of a group called bare
-    except click.UsageError as exc:
-        raise UsageFailure(exc.format_message()) from exc
+    def error(self, message):
+        raise InvalidArgument(message)
 
 
-class _Main(click.Group):
-    """Reports an InvalidArgument or click's own usage error (but not the
-    help of a group called bare) in one line: from its own options, parsed
-    in make_context, and from any subcommand."""
-
-    def make_context(self, info_name, args, parent=None, **extra):
-        with _one_line_usage_errors():
-            return super().make_context(info_name, args, parent=parent, **extra)
-
-    def invoke(self, ctx):
-        with _one_line_usage_errors():
-            return super().invoke(ctx)
+def _subcommands(parser):
+    """parser's subcommand action; parser called without one shows its help."""
+    parser.set_defaults(command=None, parser=parser)
+    return parser.add_subparsers(title="Commands", metavar="COMMAND")
 
 
-@click.group(cls=_Main)
-def main():
-    """Rank-6 elliptic curve families over number fields: construction and
-    numerical rank certification via averaged Frobenius traces."""
+_parser = _Parser("rankforge", "Rank-6 elliptic curve families over number "
+                  "fields: construction and numerical rank certification "
+                  "via averaged Frobenius traces.")
+_commands = _subcommands(_parser)
 
 
-@main.group()
-def field():
-    """Finite-field inspection."""
+def _group(name, doc):
+    return _subcommands(_commands.add_parser(name, help=doc, description=doc))
 
 
-@field.command("info")
-@click.option("--p", "p", type=int, required=True, help="odd prime")
-@click.option("--modulus", required=True,
-              help='monic modulus over F_p, "c0,c1,...,1"')
-@click.option("--out", default=None, callback=_out_path)
+def _command(group, name, *options):
+    """Subcommand name of group runs the decorated function; options are
+    (flag, add_argument keywords) pairs."""
+    def register(func):
+        parser = group.add_parser(name, help=func.__doc__,
+                                  description=func.__doc__)
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(command=func)
+        return func
+    return register
+
+
+DEFAULT = "default: %(default)s"
+FIELD = "--field", dict(dest="field_path", required=True, metavar="PATH")
+FAMILY = "--family", dict(dest="family_path", required=True, metavar="PATH")
+MAX_NORM = "--max-norm", dict(type=_at_least(1), required=True)
+METHOD = "--method", dict(choices=("direct", "analytic"), default="analytic",
+                          help=DEFAULT)
+OUT = "--out", dict(type=_out_path)
+
+field = _group("field", "Finite-field inspection.")
+ideals = _group("ideals", "Prime-ideal enumeration.")
+legendre = _group("legendre", "Quadratic character sum verification.")
+family = _group("family", "Curve-family construction.")
+nagao = _group("nagao", "Frobenius-trace averages and rank series.")
+
+
+@_command(field, "info",
+          ("--p", dict(type=int, required=True, help="odd prime")),
+          ("--modulus", dict(required=True,
+                             help='monic modulus over F_p, "c0,c1,...,1"')),
+          OUT)
 def field_info(p, modulus, out):
     """Print q and a sample character table as CSV."""
     fld = make_field(p, poly_from_str(modulus).coeffs)
-    click.echo(f"q = {fld.q} (p = {fld.p}, r = {fld.r})")
+    print(f"q = {fld.q} (p = {fld.p}, r = {fld.r})")
     sample = map(fld.decode, range(min(fld.q, 32)))
     _write_csv(out, ["code", "coeffs", "chi"],
                [[fld.encode(u), " ".join(map(str, u.coeffs)),
                  quadratic_character(u)] for u in sample])
 
 
-@main.group()
-def ideals():
-    """Prime-ideal enumeration."""
-
-
-@ideals.command("list")
-@click.option("--field", "field_path", required=True, type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True, callback=_at_least(1))
-@click.option("--out", default=None, callback=_out_path)
+@_command(ideals, "list", FIELD, MAX_NORM, OUT)
 def ideals_list(field_path, max_norm, out):
     """List prime ideals of norm <= X as CSV."""
     K = _load_field_spec(_read_json(field_path))
@@ -193,32 +204,24 @@ def ideals_list(field_path, max_norm, out):
     _write_csv(out, ["norm", "p", "f", "e", "factor"], rows)
     skipped = sorted(p for p in K.excluded_primes if p <= max_norm)
     if skipped:
-        click.echo(f"excluded rational primes skipped: {skipped}", err=True)
+        print(f"excluded rational primes skipped: {skipped}", file=sys.stderr)
 
 
-@main.command()
-@click.option("--field", "field_path", required=True, type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True, callback=_at_least(1))
+@_command(_commands, "landau", FIELD, MAX_NORM)
 def landau(field_path, max_norm):
     """Partial sum of log N(P), its ratio to X, and the ideal count."""
     K = _load_field_spec(_read_json(field_path))
     total, ratio, count = landau_sum(K, max_norm)
-    click.echo(f"sum = {_fmt(total)}")
-    click.echo(f"ratio = {_fmt(ratio)}")
-    click.echo(f"count = {count}")
+    print(f"sum = {_fmt(total)}")
+    print(f"ratio = {_fmt(ratio)}")
+    print(f"count = {count}")
 
 
-@main.group()
-def legendre():
-    """Quadratic character sum verification."""
-
-
-@legendre.command("verify")
-@click.option("--max-q", type=int, default=343, show_default=True,
-              callback=_at_least(3))
-@click.option("--exhaustive-max-q", type=int, default=49, show_default=True)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--out", default=None, callback=_out_path)
+@_command(legendre, "verify",
+          ("--max-q", dict(type=_at_least(3), default=343, help=DEFAULT)),
+          ("--exhaustive-max-q", dict(type=int, default=49, help=DEFAULT)),
+          ("--seed", dict(type=int, default=DEFAULT_SEED, help=DEFAULT)),
+          OUT)
 def legendre_verify(max_q, exhaustive_max_q, seed, out):
     """Closed form vs. brute force per odd prime power q; exit 1 on any
     mismatch or conic-bound violation."""
@@ -233,14 +236,9 @@ def legendre_verify(max_q, exhaustive_max_q, seed, out):
         sys.exit(1)
 
 
-@main.group()
-def family():
-    """Curve-family construction."""
-
-
-@family.command("construct")
-@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
-@click.option("--out", default=None, callback=_out_path)
+@_command(family, "construct",
+          ("--spec", dict(dest="spec_path", required=True, metavar="PATH")),
+          OUT)
 def family_construct(spec_path, out):
     """Construct the family and emit its exact coefficients as JSON."""
     obj, fam = _load_family(spec_path)
@@ -260,16 +258,14 @@ def family_construct(spec_path, out):
         fh.write("\n")
 
 
-@family.command("badprimes")
-@click.option("--family", "family_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--max-p", type=int, required=True, callback=_at_least(1))
+@_command(family, "badprimes", FAMILY,
+          ("--max-p", dict(type=_at_least(1), required=True)))
 def family_badprimes(family_path, max_p):
     """Rational primes p <= N with a bad ideal above them, with reasons."""
     _, fam = _load_family(family_path)
     for p in sieve(max_p):
         if p in fam.K.excluded_primes:
-            click.echo(f"{p}: excluded (Dedekind enumeration)")
+            print(f"{p}: excluded (Dedekind enumeration)")
             continue
         reasons = []
         for P in prime_ideals_above(fam.K, p):
@@ -277,26 +273,19 @@ def family_badprimes(family_path, max_p):
             if not good:
                 reasons.append(reason)
         if reasons:
-            click.echo(f"{p}: {reasons[0]}")
+            print(f"{p}: {reasons[0]}")
 
 
-@main.group()
-def nagao():
-    """Frobenius-trace averages and rank series."""
-
-
-@nagao.command("ap")
-@click.option("--family", "family_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--p", "p", type=int, required=True, help="rational prime")
-@click.option("--method", type=click.Choice(["direct", "analytic", "both"]),
-              default="analytic", show_default=True)
+@_command(nagao, "ap", FAMILY,
+          ("--p", dict(type=int, required=True, help="rational prime")),
+          ("--method",
+           {**METHOD[1], "choices": ("direct", "analytic", "both")}))
 def nagao_ap(family_path, p, method):
     """sum of a_t and A_p for every prime ideal above p; with --method both,
     an error (exit 1) where the direct and analytic sums differ."""
     _, fam = _load_family(family_path)
     if p in fam.K.excluded_primes:
-        click.echo(f"bad prime: {p} is excluded from Dedekind enumeration")
+        print(f"bad prime: {p} is excluded from Dedekind enumeration")
         sys.exit(1)
     above = prime_ideals_above(fam.K, p)
     if method != "analytic":
@@ -306,15 +295,15 @@ def nagao_ap(family_path, p, method):
     for P in above:
         good, reason = is_good_prime(fam, P)
         if not good:
-            click.echo(f"{P.label()}: bad prime: {reason}")
+            print(f"{P.label()}: bad prime: {reason}")
             failed = True
             continue
         sums = []
         for m in methods:
             res = nagao_mod.average_A_p(fam, P, method=m)
-            click.echo(f"{P.label()}: norm={P.norm} method={m} "
-                       f"sum_a_t={res.sum_a_t} "
-                       f"A_p={fraction_to_str(res.A_p)} good={res.good}")
+            print(f"{P.label()}: norm={P.norm} method={m} "
+                  f"sum_a_t={res.sum_a_t} "
+                  f"A_p={fraction_to_str(res.A_p)} good={res.good}")
             sums.append(res.sum_a_t)
         if len(set(sums)) > 1:  # independent methods agree exactly
             raise InternalIdentityFailure(
@@ -324,15 +313,10 @@ def nagao_ap(family_path, p, method):
         sys.exit(1)
 
 
-@nagao.command("series")
-@click.option("--family", "family_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True, callback=_at_least(1))
-@click.option("--method", type=click.Choice(["direct", "analytic"]),
-              default="analytic", show_default=True)
-@click.option("--checkpoints", default=None,
-              help="comma-separated cutoffs; default geometric grid")
-@click.option("--out", default=None, callback=_out_path)
+@_command(nagao, "series", FAMILY, MAX_NORM, METHOD,
+          ("--checkpoints",
+           dict(help="comma-separated cutoffs; default geometric grid")),
+          OUT)
 def nagao_series(family_path, max_norm, method, checkpoints, out):
     """Nagao partial sums on a checkpoint grid, as CSV."""
     _, fam = _load_family(family_path)
@@ -351,23 +335,33 @@ def nagao_series(family_path, max_norm, method, checkpoints, out):
                  r.ideals_skipped_bad] for r in rows])
 
 
-@main.command()
-@click.option("--family", "family_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--max-norm", type=int, required=True, callback=_at_least(1))
-@click.option("--method", type=click.Choice(["direct", "analytic"]),
-              default="analytic", show_default=True)
+@_command(_commands, "rank", FAMILY, MAX_NORM, METHOD)
 def rank(family_path, max_norm, method):
     """Rank verdict from the normalized partial sum at X = max-norm."""
     _, fam = _load_family(family_path)
     est = nagao_mod.rank_estimate(fam, max_norm, method=method)
-    click.echo(f"partial_sum = {_fmt(est.partial_sum)}")
-    click.echo(f"theta_good = {_fmt(est.theta_good)}")
-    click.echo(f"residual = {_fmt(est.residual)}")
+    print(f"partial_sum = {_fmt(est.partial_sum)}")
+    print(f"theta_good = {_fmt(est.theta_good)}")
+    print(f"residual = {_fmt(est.residual)}")
     if est.low_confidence:
-        click.echo("rank estimate: 0 (low confidence: no good primes in range)")
+        print("rank estimate: 0 (low confidence: no good primes in range)")
     else:
-        click.echo(f"rank estimate: {est.nearest_integer}")
+        print(f"rank estimate: {est.nearest_integer}")
+
+
+def main(argv=None):
+    """Run the command in argv (default: sys.argv[1:]); any InvalidArgument,
+    the parser's included, is one "Error:" line on stderr and exit 2."""
+    try:
+        args = vars(_parser.parse_args(argv))
+        command, parser = args.pop("command"), args.pop("parser")
+        if command is None:  # a group called bare: its help, exit 2
+            parser.print_help(sys.stderr)
+            sys.exit(2)
+        command(**args)
+    except InvalidArgument as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 def entrypoint():
@@ -375,9 +369,13 @@ def entrypoint():
     # the one at interpreter exit included
     gc.freeze()
     try:
-        main(standalone_mode=True)
+        main()
+        sys.stdout.flush()  # a reader gone (| head) fails here, not at exit
+    except BrokenPipeError:  # exit 1 with no traceback; the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     except RankforgeError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
 
 

@@ -184,14 +184,11 @@ def rank_estimate(fam, X, method="analytic"):
     """
     last = nagao_partial_sum(fam, X, method=method, checkpoints=[X])[-1]
     partial, theta = last.partial_sum, last.theta_good
-    if theta == 0.0:
-        return RankEstimate(X=X, partial_sum=partial, theta_good=0.0,
-                            nearest_integer=0, residual=0.0,
-                            low_confidence=True)
-    normalized = partial * X / theta
+    # theta_good is 0.0 exactly when no good prime is used: no verdict then
+    normalized = partial * X / theta if theta else 0.0
     nearest = round(normalized)
     return RankEstimate(X=X, partial_sum=partial, theta_good=theta,
                         nearest_integer=nearest,
                         residual=normalized - nearest,
-                        low_confidence=last.ideals_used == 0)
+                        low_confidence=not theta)
 

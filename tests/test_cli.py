@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from rankforge.cli import main
 from rankforge.errors import (
@@ -25,11 +31,36 @@ FAMILY_Q = {
     "rho": ["1", "2", "3", "4", "5", "6"],
     "alpha": "1",
 }
+# for a CLI run in a subprocess: this checkout's sources
+SRC_ENV = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+class Runner:
+    """invoke(main, args) runs main(args) with stdout and stderr captured
+    together, in the order they were written. exit_code is the code of the
+    SystemExit that main raised (0 if it returned, 1 for any other
+    exception); exception is what ended a failed run, else None."""
+
+    def invoke(self, main, args):
+        output, exit_code, exception = io.StringIO(), 0, None
+        with contextlib.redirect_stdout(output), \
+                contextlib.redirect_stderr(output):
+            try:
+                main(args)
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+                exception = exc if exit_code else None
+            except Exception as exc:
+                exit_code, exception = 1, exc
+        return types.SimpleNamespace(exit_code=exit_code,
+                                     output=output.getvalue(),
+                                     exception=exception)
 
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 @pytest.fixture
@@ -453,7 +484,7 @@ MALFORMED = {
         None, ["legendre", "verify", "--max-q", "5000"]),
     "legendre exhaustive-max-q above its cap": (
         None, ["legendre", "verify", "--exhaustive-max-q", "128"]),
-    # click's own parse errors
+    # the parser's own errors
     "max-norm not an integer": (FAMILY_Q, ["rank", "--max-norm", "abc"]),
     "method not a choice": (
         FAMILY_Q, ["rank", "--max-norm", "10", "--method", "bogus"]),
@@ -498,10 +529,116 @@ def test_input_errors_are_invalid_arguments():
 
 
 def test_group_without_subcommand_shows_its_help(runner):
-    # newer click raises this as a usage error; it is help, not "Error:"
+    # a usage error, but its message is the group's help, not "Error:"
     res = runner.invoke(main, ["nagao"])
-    assert res.output.startswith("Usage: ")
+    assert res.output.startswith("usage: rankforge nagao")
     assert "Commands:" in res.output and "Error" not in res.output
+
+
+@pytest.mark.parametrize("args, usage", [
+    ([], "usage: rankforge [--help] COMMAND ..."),
+    (["nagao"], "usage: rankforge nagao [--help] COMMAND ...")],
+    ids=["rankforge", "nagao"])
+def test_bare_command_prints_help_on_stderr_and_exits_2(capsys, args, usage):
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(usage + "\n")
+
+
+def test_help_goes_to_stdout_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["rank", "--help"])
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: rankforge rank ") and err == ""
+
+
+# each error line names what was wrong: the option and its value, the
+# missing file, the unknown subcommand or option
+NAMED = {
+    "max-norm not an integer": (
+        ["rank", "--family", "{family}", "--max-norm", "abc"],
+        ["--max-norm", "'abc'"]),
+    "method not a choice": (
+        ["rank", "--family", "{family}", "--max-norm", "10",
+         "--method", "bogus"], ["--method", "'bogus'"]),
+    "family path does not exist": (
+        ["rank", "--family", "{tmp}/missing.json", "--max-norm", "10"],
+        ["{tmp}/missing.json"]),
+    "unknown subcommand": (["bogus"], ["'bogus'"]),
+    "unknown top-level option": (["--bogus"], ["--bogus"]),
+}
+
+
+@pytest.mark.parametrize("case", list(NAMED))
+def test_error_line_names_the_offending_token(runner, tmp_path, family_file,
+                                              case):
+    args, tokens = NAMED[case]
+
+    def fill(text):
+        return text.format(family=family_file, tmp=tmp_path)
+
+    res = runner.invoke(main, [fill(a) for a in args])
+    assert res.exit_code == 2
+    [line] = res.output.splitlines()
+    assert line.startswith("Error: ")
+    for token in tokens:
+        assert fill(token) in line
+
+
+@pytest.mark.parametrize("args", [
+    ["rank", "--max-norm", "abc"], ["legendre", "verify", "--max-q", "abc"]])
+def test_a_bounded_integer_option_is_an_int_to_the_parser(runner, args):
+    # the message names the type, not the function that checks it
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert f"{args[-2]}: invalid int value: 'abc'" in res.output
+
+
+def test_options_take_no_abbreviation(runner, family_file):
+    res = runner.invoke(main, ["rank", "--family", family_file,
+                               "--max", "10"])
+    assert res.exit_code == 2
+    assert res.output.startswith("Error: ")
+
+
+def test_modulus_with_a_negative_coefficient_is_a_value(runner):
+    # "-2,0,1" starts with "-" but is x^2 - 2, irreducible over F_5
+    res = runner.invoke(main, ["field", "info", "--p", "5",
+                               "--modulus", "-2,0,1"])
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("q = 25 (p = 5, r = 2)\n")
+
+
+def test_reader_gone_exits_1_without_a_traceback(field_file):
+    # about 200 kB of CSV: more than a pipe holds, so the writer is still
+    # writing when the reader closes its end after the header
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rankforge.cli", "ideals", "list",
+         "--field", field_file, "--max-norm", "100000"],
+        env=SRC_ENV,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"norm,p,f,e,factor\r\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_cli_imports_only_the_standard_library():
+    # modules the interpreter loads before the import (site hooks) are not
+    # the CLI's: count only what importing rankforge.cli adds
+    code = ("import sys; before = set(sys.modules); import rankforge.cli; "
+            "print(*sorted({m.partition('.')[0] for m in sys.modules} "
+            "- {m.partition('.')[0] for m in before}))")
+    res = subprocess.run([sys.executable, "-c", code], env=SRC_ENV,
+                         capture_output=True, text=True, check=True)
+    loaded = res.stdout.split()
+    assert "rankforge" in loaded
+    assert [m for m in loaded if m != "rankforge"
+            and m not in sys.stdlib_module_names] == []
 
 
 def test_sqrt5_family_via_cli(runner, tmp_path):
