@@ -138,31 +138,18 @@ class ReducedFamily(NamedTuple):
     its f coordinates over F_p (FqElem.coeffs). reason is None at a good
     prime; g, h and roots are None where the data does not reduce at all.
     roots holds the six r_i mod P; at a good prime they are the distinct
-    nonzero roots of D_T mod P, which reduces to A (x - r_1)...(x - r_6)."""
+    nonzero roots of D_T mod P, which reduces to A (x - r_1)...(x - r_6).
+    Each caller reduces for itself; nothing keeps a ReducedFamily."""
     reason: object  # str or None
     g: tuple = None
     h: tuple = None
     roots: tuple = None
 
 
-_last_reduction = [None, None, None]  # fam, P, ReducedFamily
-
-
 def reduce_family(fam, P):
-    """Reduce the family data at P, each element once.
-
-    The last result is kept, so the good-prime check and the A_p kernel
-    that follows it at the same ideal share one reduction.
-    """
-    last_fam, last_P, reduced = _last_reduction
-    if last_fam is fam and last_P is P:
-        return reduced
-    reduced = _reduce(fam, P)
-    _last_reduction[:] = fam, P, reduced
-    return reduced
-
-
-def _reduce(fam, P):
+    """Reduce the 14 elements of fam.coords at P in one batch, past the
+    parity and denominator checks. is_good_prime needs it only where p
+    divides bad_divisor; the A_p kernels reduce at every ideal."""
     if P.norm % 2 == 0:
         return ReducedFamily(f"even residue characteristic {P.p}")
     if fam.den_lcm % P.p == 0:
@@ -190,6 +177,16 @@ def _reduce(fam, P):
 
 def is_good_prime(fam, P):
     """(good, reason). Good means: odd norm, all family data reduces, and
-    the six reduced roots stay distinct and nonzero (with alpha a unit)."""
+    the six reduced roots stay distinct and nonzero (with alpha a unit).
+
+    P is good without any reduction where p does not divide bad_divisor:
+    each bad reason forces p | bad_divisor. p = 2 and the denominators are
+    its factors, and alpha, rho_i or r_i - r_j in P puts n in P for
+    x = n/d, n in Z[theta], p prime to d, so p divides N(n) and the
+    numerator of N(x), another factor. The A_p kernels reduce again and
+    raise BadPrime, so a wrong answer here fails loudly.
+    """
+    if fam.bad_divisor % P.p:
+        return True, None
     reason = reduce_family(fam, P).reason
     return reason is None, reason

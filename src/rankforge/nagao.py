@@ -11,8 +11,10 @@ The analytic method collapses each t-sum in closed form to minus q times
 the sum of chi over the roots of D_T mod P, which at a good P are the six
 prescribed r_i = rho_i^2 reduced: six Euler criteria, each one powmod
 modulo P.factor (the builtin pow at residue degree 1). Both methods read
-the coefficient tuples of ReducedFamily; the analytic one builds no
-residue field. At good primes both give the average -6 exactly, and
+the coefficient tuples of their own reduce_family call, and the analytic
+one builds no residue field. The series asks is_good_prime first, which
+reduces only where p divides bad_divisor, so most ideals are reduced once.
+At good primes both give the average -6 exactly, and
 `nagao ap --method both` fails where their sums differ.
 """
 

@@ -300,7 +300,9 @@ def test_rank_estimate_enumerates_and_reduces_once(fam_sqrt5, monkeypatch):
     monkeypatch.setattr(family, "reduce_coords", reduce_counted)
     assert rank_estimate(fam_sqrt5, 500).nearest_integer == 6
     assert calls["enumerate"] == 1
-    # one batched reduction per ideal past the parity and denominator checks
+    # one batched reduction per ideal past the parity and denominator
+    # checks: below 500 no good ideal lies above a p | bad_divisor, the
+    # only ideals reduced twice (test_series_reduces_each_ideal_once)
     data = (fam_sqrt5.spec.alpha, *fam_sqrt5.spec.rho, fam_sqrt5.a,
             fam_sqrt5.b, fam_sqrt5.c, fam_sqrt5.A, fam_sqrt5.B, fam_sqrt5.C,
             fam_sqrt5.D)
@@ -308,6 +310,27 @@ def test_rank_estimate_enumerates_and_reduces_once(fam_sqrt5, monkeypatch):
         coord.denominator % P.p for x in data for coord in x.coeffs)]
     assert len(reducible) < len(ideals)
     assert calls["reduce"] == reducible
+
+
+def test_series_reduces_each_ideal_once(fam_sqrt5, monkeypatch):
+    # the kernel reduces each good ideal; is_good_prime reduces only where
+    # p divides bad_divisor, so only good ideals there are reduced twice
+    from rankforge import family, nagao
+
+    reduced = []
+    real = family.reduce_family
+
+    def reduce_counted(fam, P):
+        reduced.append(P)
+        return real(fam, P)
+
+    monkeypatch.setattr(family, "reduce_family", reduce_counted)
+    monkeypatch.setattr(nagao, "reduce_family", reduce_counted)
+    row = nagao_partial_sum(fam_sqrt5, 2000, checkpoints=[2000])[-1]
+    above_bad = [P for P in enumerate_prime_ideals(fam_sqrt5.K, 2000)
+                 if fam_sqrt5.bad_divisor % P.p == 0]
+    assert 0 < row.ideals_skipped_bad <= len(above_bad) < row.ideals_used
+    assert len(reduced) == row.ideals_used + len(above_bad)
 
 
 def test_rank_path_builds_no_tables(fam_sqrt5, monkeypatch):

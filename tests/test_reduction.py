@@ -1,7 +1,10 @@
 """The batched integer reduction of the family data against the per-element
 formula: every coordinate num/den maps to num * den^-1 mod p, and the
-residue field's own remainder by P.factor takes it from there."""
+residue field's own remainder by P.factor takes it from there. The same
+reference checks is_good_prime, which skips the reduction where p does not
+divide bad_divisor."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,7 @@ from rankforge import (
     enumerate_prime_ideals,
 )
 from rankforge import _modpoly
-from rankforge.family import ReducedFamily, _reduce, is_good_prime
+from rankforge.family import ReducedFamily, is_good_prime, reduce_family
 from rankforge.nagao import average_A_p_analytic
 from rankforge.number_field import _theta_images, reduce_coords, reduce_elem
 
@@ -40,6 +43,17 @@ FAMILIES = {
     # residue degrees 1, 2 and 4: x^4 - 2 is irreducible mod 5 (norm 625)
     "x^4 - 2": lambda: _family(
         [-2, 0, 0, 0, 1], [[1], [2], [0, 1], [1, 1], [0, 0, 1], [2, 1]], [1]),
+    # 13 divides a denominator and nothing else in bad_divisor: 1/13 is the
+    # only rho of nonzero valuation at 13, and 1, 4, 9, 16, 25 stay
+    # distinct mod 13
+    "Q with 1/13": lambda: _family(
+        [0, 1], [[Fraction(1, 13)], [1], [2], [3], [4], [5]], [1]),
+    # 2 is inert (F_16) and no factor of bad_divisor but 2 itself is even:
+    # the rho are distinct mod 2, and e_5 of the roots is 0 mod 2, so that
+    # b = -A s_5 / (2c) and the other coefficients keep odd denominators
+    "x^4 + x + 1": lambda: _family(
+        [1, 1, 0, 0, 1],
+        [[1], [0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 1, 0, 1], [1, 1, 1]], [1]),
 }
 
 
@@ -84,7 +98,10 @@ def test_reduce_matches_per_element_formula(name):
     fam = FAMILIES[name]()
     ideals = enumerate_prime_ideals(fam.K, X)
     for P in ideals:
-        assert _reduce(fam, P) == _reference(fam, P), P.label()
+        ref = _reference(fam, P)
+        assert reduce_family(fam, P) == ref, P.label()
+        # the reference shares nothing with the bad_divisor shortcut
+        assert is_good_prime(fam, P) == (ref.reason is None, ref.reason), P.label()
     if name == "cbrt2":
         assert {P.f for P in ideals} == {1, 2, 3}
     if name == "x^4 - 2":
@@ -93,11 +110,47 @@ def test_reduce_matches_per_element_formula(name):
 
 
 def test_every_bad_reason_occurs():
-    reasons = {_reduce(fam, P).reason
+    reasons = {reduce_family(fam, P).reason
                for fam in (make() for make in FAMILIES.values())
                for P in enumerate_prime_ideals(fam.K, X)}
     for prefix in REASONS:
         assert any(r and r.startswith(prefix) for r in reasons), prefix
+
+
+def _bad_factors(fam):
+    """The factors of bad_divisor, each on its own: 2, the numerator norms
+    of alpha and rho_i, those of the root differences, the denominators."""
+    def norms(elems):
+        return math.prod(abs(x.norm().numerator) for x in elems)
+    spec, r = fam.spec, fam.roots
+    return {
+        "2": 2,
+        "norms": norms((spec.alpha, *spec.rho)),
+        "root differences": norms(
+            r[i] - r[j] for i in range(6) for j in range(i + 1, 6)),
+        "denominators": math.prod(
+            c.denominator for x in (spec.alpha, *spec.rho, fam.a, fam.b, fam.c,
+                                    fam.A, fam.B, fam.C, fam.D)
+            for c in x.coeffs),
+    }
+
+
+def test_each_bad_divisor_factor_is_needed():
+    # every factor is the lone witness of some bad ideal, so is_good_prime
+    # without it would call that ideal good; and some good ideals lie above
+    # a p | bad_divisor, so the shortcut's reducing side runs too
+    lone, good_above_bad = set(), 0
+    for fam in (make() for make in FAMILIES.values()):
+        factors = _bad_factors(fam)
+        for P in enumerate_prime_ideals(fam.K, X):
+            if is_good_prime(fam, P)[0]:
+                good_above_bad += fam.bad_divisor % P.p == 0
+                continue
+            witnesses = [k for k, d in factors.items() if d % P.p == 0]
+            if len(witnesses) == 1:
+                lone.update(witnesses)
+    assert lone == set(factors)
+    assert good_above_bad
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -140,7 +193,7 @@ def test_reduction_builds_no_multiply_kernel():
         ideals = list(enumerate_prime_ideals(fam.K, X))
         misses = _modpoly._kernel.cache_info().misses
         for P in ideals:
-            _reduce(fam, P)
+            reduce_family(fam, P)
         assert _modpoly._kernel.cache_info().misses == misses, name
 
 
@@ -148,7 +201,7 @@ def test_per_ideal_records_are_immutable_and_hashable():
     fam = FAMILIES["cbrt2"]()
     P = next(P for P in enumerate_prime_ideals(fam.K, X)
              if P.f == 2 and is_good_prime(fam, P)[0])
-    for record in (P, _reduce(fam, P), average_A_p_analytic(fam, P)):
+    for record in (P, reduce_family(fam, P), average_A_p_analytic(fam, P)):
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
         copy = record._replace()
