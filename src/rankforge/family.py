@@ -7,7 +7,6 @@ g and h are solved degree by degree from the elementary symmetric functions
 of the r_i and the identity is re-verified by exact expansion.
 """
 
-import math
 from typing import NamedTuple
 
 from .errors import (
@@ -52,13 +51,13 @@ class CurveFamily(NamedTuple):
     D_T: Poly
     roots: tuple  # r_i = rho_i^2
     bad_divisor: int
-    # integer_coords of alpha, r_1..r_6 and a, b, c, A, B, C, D over one
-    # common denominator, and the lcm of the coordinate denominators of
-    # alpha, rho_i and a..D; every element here is a polynomial in those
-    # with integer coefficients, so the primes of the common denominator
-    # divide den_lcm, and it reduces wherever den_lcm is prime to p
+    # integer_coords of the rows alpha, r_1..r_6, g.coeffs (c, b, a, 1) and
+    # h.coeffs (D, C, B, A - 1, as far as h reaches) over one common
+    # denominator coords[1]. The family data reduces at P exactly when p
+    # does not divide coords[1]: Z[theta] is p-maximal at every p that is
+    # reduced, so p divides a denominator of rho_i exactly when it divides
+    # one of r_i = rho_i^2, and a..D are rows (A through A - 1)
     coords: tuple
-    den_lcm: int
 
     @property
     def K(self):
@@ -106,15 +105,11 @@ def construct_family(spec):
     if not (D_T - target).is_zero:
         raise InternalIdentityFailure("expansion does not match A*prod(x - r_i)")
 
-    coefficients = (a, b, c, A, B, C, D)
     return CurveFamily(
         spec=spec, a=a, b=b, c=c, A=A, B=B, C=C, D=D,
         g=g, h=h, D_T=D_T, roots=roots,
-        bad_divisor=_bad_divisor(spec, roots, coefficients),
-        coords=integer_coords(alpha, *roots, *coefficients),
-        den_lcm=math.lcm(*(coord.denominator
-                           for elem in (alpha, *spec.rho, *coefficients)
-                           for coord in elem.coeffs)))
+        bad_divisor=_bad_divisor(spec, roots, (a, b, c, A, B, C, D)),
+        coords=integer_coords(alpha, *roots, *g.coeffs, *h.coeffs))
 
 
 def _bad_divisor(spec, roots, coefficients):
@@ -134,28 +129,29 @@ def _bad_divisor(spec, roots, coefficients):
 
 
 class ReducedFamily(NamedTuple):
-    """Family data reduced at one prime ideal, each element the tuple of
-    its f coordinates over F_p (FqElem.coeffs). reason is None at a good
-    prime; g, h and roots are None where the data does not reduce at all.
-    roots holds the six r_i mod P; at a good prime they are the distinct
-    nonzero roots of D_T mod P, which reduces to A (x - r_1)...(x - r_6).
-    Each caller reduces for itself; nothing keeps a ReducedFamily."""
+    """The family reduced at one prime ideal as far as its classification
+    reads it. reason is None at a good prime; roots is None where the data
+    does not reduce at all, and otherwise holds the six r_i mod P, each the
+    tuple of its f coordinates over F_p (FqElem.coeffs). At a good prime
+    they are the distinct nonzero roots of D_T mod P, which reduces to
+    A (x - r_1)...(x - r_6). Each caller reduces for itself; nothing keeps
+    a ReducedFamily."""
     reason: object  # str or None
-    g: tuple = None
-    h: tuple = None
     roots: tuple = None
 
 
 def reduce_family(fam, P):
-    """Reduce the 14 elements of fam.coords at P in one batch, past the
-    parity and denominator checks. is_good_prime needs it only where p
-    divides bad_divisor; the A_p kernels reduce at every ideal."""
+    """Reduce alpha and the six roots, the first seven rows of fam.coords,
+    at P in one batch, past the parity and denominator checks. The g and h
+    rows are left to the direct method, their only reader. is_good_prime
+    needs this only where p divides bad_divisor; the A_p kernels reduce at
+    every ideal."""
     if P.norm % 2 == 0:
         return ReducedFamily(f"even residue characteristic {P.p}")
-    if fam.den_lcm % P.p == 0:
+    rows, d = fam.coords
+    if d % P.p == 0:
         return ReducedFamily(f"denominator not invertible mod {P.p}")
-    alpha_bar, *images = reduce_coords(fam.coords, P)
-    r_bars, (a, b, c, A, B, C, D) = images[:6], images[6:]
+    alpha_bar, *r_bars = reduce_coords((rows[:7], d), P)
     # reduction is a ring map into a field: r_i = rho_i^2 vanishes mod P
     # exactly when rho_i does
     if not any(alpha_bar):
@@ -166,13 +162,7 @@ def reduce_family(fam, P):
         reason = f"repeated roots mod {P.p}"
     else:
         reason = None
-    one = (1,) + (0,) * (P.f - 1)
-    A_minus_one = ((A[0] - 1) % P.p, *A[1:])
-    return ReducedFamily(
-        reason,
-        g=(c, b, a, one),  # g = x^3 + a x^2 + b x + c never loses a term
-        h=(D, C, B, A_minus_one)[:len(fam.h.coeffs)],
-        roots=tuple(r_bars))
+    return ReducedFamily(reason, roots=tuple(r_bars))
 
 
 def is_good_prime(fam, P):

@@ -10,10 +10,12 @@ Its q triples come from the same tables: log x^3 is 3 log x, and g(x) and
 The analytic method collapses each t-sum in closed form to minus q times
 the sum of chi over the roots of D_T mod P, which at a good P are the six
 prescribed r_i = rho_i^2 reduced: six Euler criteria, each one powmod
-modulo P.factor (the builtin pow at residue degree 1). Both methods read
-the coefficient tuples of their own reduce_family call, and the analytic
-one builds no residue field. The series asks is_good_prime first, which
-reduces only where p divides bad_divisor, so most ideals are reduced once.
+modulo P.factor (the builtin pow at residue degree 1). Both methods classify
+P by their own reduce_family call, which reduces alpha and the six roots
+alone; the direct one then reduces the g and h rows of fam.coords itself,
+and the analytic one builds no residue field. The series asks is_good_prime
+first, which reduces only where p divides bad_divisor, so most ideals are
+reduced once.
 At good primes both give the average -6 exactly, and
 `nagao ap --method both` fails where their sums differ.
 """
@@ -25,7 +27,7 @@ from typing import NamedTuple
 from . import _modpoly
 from .errors import BadPrime, InvalidArgument
 from .family import is_good_prime, reduce_family
-from .number_field import enumerate_prime_ideals
+from .number_field import enumerate_prime_ideals, reduce_coords
 
 DIRECT_NORM_CAP = 1000  # O(q^2) work; analytic is the default beyond this
 
@@ -57,7 +59,9 @@ def average_A_p_direct(fam, P):
     O(q^2), so refused above DIRECT_NORM_CAP before any reduction or
     tables."""
     check_direct_cap(P.norm)
-    reduced = _reduced(fam, P)
+    _reduced(fam, P)  # a bad P raises BadPrime before any tables
+    rows, d = fam.coords
+    g_h = reduce_coords((rows[7:], d), P)
     tables = P.residue_field.tables()
     codes, red, log, exp = tables.codes, tables.red, tables.log, tables.exp
     order, zero_log, log_two = len(codes) - 1, log[0], log[2]
@@ -68,8 +72,8 @@ def average_A_p_direct(fam, P):
             acc = red[exp[log[acc] + lx] + c]
         return acc
 
-    g = [tables.code(c) for c in reduced.g]
-    minus_h = [tables.code([-d % P.p for d in c]) for c in reduced.h]
+    g = [tables.code(c) for c in g_h[:4]]  # g = x^3 + a x^2 + b x + c
+    minus_h = [tables.code([-u % P.p for u in c]) for c in g_h[4:]]
     total = -sum(tables.t_sums(  # x = 0 keeps the log 0 sentinel for x^3
         (zero_log if lx == zero_log else 3 * lx % order,
          log[exp[log_two + log[horner(g, lx)]]], horner(minus_h, lx))

@@ -13,6 +13,7 @@ randrange_triples draws the random sweep's triples with rng.randrange.
 
 from rankforge.errors import BadPrime, ZeroLeadingCoefficient, ZeroPolynomial
 from rankforge.family import reduce_family
+from rankforge.number_field import reduce_elem
 from rankforge.poly import Poly
 
 
@@ -41,15 +42,16 @@ def roots_in_fq(f, field):
 
 def fiber_polynomial(fam, P, t):
     """The cubic in x of the fiber at T = t over the residue field:
-    t^2 x^3 + 2 g(x) t - h(x)."""
+    t^2 x^3 + 2 g(x) t - h(x), with the coefficients of g and h reduced one
+    at a time by reduce_elem, not in the direct method's batch."""
     fld = P.residue_field
     if t.field != fld:
         raise BadPrime("t must live in the residue field of P")
     reduced = reduce_family(fam, P)
-    if reduced.g is None:
+    if reduced.roots is None:
         raise BadPrime(reduced.reason)
     x3 = Poly([fld.zero] * 3 + [t * t])
-    g, h = (Poly(map(fld.elem, c)) for c in (reduced.g, reduced.h))
+    g, h = (Poly([reduce_elem(c, P) for c in f.coeffs]) for f in (fam.g, fam.h))
     return x3 + g * (t + t) - h
 
 

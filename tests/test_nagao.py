@@ -312,6 +312,23 @@ def test_rank_estimate_enumerates_and_reduces_once(fam_sqrt5, monkeypatch):
     assert calls["reduce"] == reducible
 
 
+def test_rank_path_reduces_alpha_and_the_roots_alone(fam_sqrt5, monkeypatch):
+    # classification and chi read alpha and the six roots: the rows of g
+    # and h are left to the direct method
+    from rankforge import family, number_field
+
+    rows = []
+
+    def reduce_counted(coords, P):
+        rows.append(len(coords[0]))
+        return number_field.reduce_coords(coords, P)
+
+    monkeypatch.setattr(family, "reduce_coords", reduce_counted)
+    assert rank_estimate(fam_sqrt5, 500).nearest_integer == 6
+    assert len(fam_sqrt5.coords[0]) == 14
+    assert rows and set(rows) == {7}
+
+
 def test_series_reduces_each_ideal_once(fam_sqrt5, monkeypatch):
     # the kernel reduces each good ideal; is_good_prime reduces only where
     # p divides bad_divisor, so only good ideals there are reduced twice
@@ -409,6 +426,18 @@ def fam_x4_minus_2():
     K = NumberField([-2, 0, 0, 0, 1])
     rho = [K.elem(c) for c in ([1], [2], [0, 1], [1, 1], [0, 0, 1], [2, 1])]
     return construct_family(FamilySpec(K=K, rho=tuple(rho), alpha=K.one))
+
+
+def test_direct_series_matches_analytic(fam_x4_minus_2):
+    # the direct method through the series, at every good ideal up to its
+    # cap: residue degrees 1, 2 and 4, the inert 5 of norm 625 among them
+    fam = fam_x4_minus_2
+    norms = {(P.norm, P.f) for P in enumerate_prime_ideals(fam.K, 1000)
+             if is_good_prime(fam, P)[0]}
+    assert {f for _, f in norms} == {1, 2, 4} and (625, 4) in norms
+    direct = nagao_partial_sum(fam, 1000, method="direct")
+    assert direct == nagao_partial_sum(fam, 1000)
+    assert direct[-1].ideals_used > 100
 
 
 def test_direct_method_reads_only_the_tables(fam_x4_minus_2, monkeypatch):

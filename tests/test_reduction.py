@@ -58,7 +58,9 @@ FAMILIES = {
 
 
 def _reference(fam, P):
-    """ReducedFamily by the per-element formula and the checks on rho_i."""
+    """ReducedFamily by the per-element formula and the checks on rho_i.
+    The denominator reason reads alpha, rho_i and a..D one element at a
+    time, not the common denominator of the rows of fam.coords."""
     p = P.p
     if P.norm % 2 == 0:
         return ReducedFamily(f"even residue characteristic {p}")
@@ -72,7 +74,6 @@ def _reference(fam, P):
     if any(c.denominator % p == 0 for x in data for c in x.coeffs):
         return ReducedFamily(f"denominator not invertible mod {p}")
     alpha, *rho = map(red, data[:7])
-    a, b, c, A, B, C, D = map(red, data[7:])
     roots = [r * r for r in rho]
     if not alpha:
         reason = f"alpha vanishes mod {p}"
@@ -82,14 +83,7 @@ def _reference(fam, P):
         reason = f"repeated roots mod {p}"
     else:
         reason = None
-    one = P.residue_field.one
-
-    def coeffs(elems):
-        return tuple(u.coeffs for u in elems)
-    return ReducedFamily(
-        reason, g=coeffs((c, b, a, one)),
-        h=coeffs((D, C, B, A - one)[:len(fam.h.coeffs)]),
-        roots=coeffs(roots))
+    return ReducedFamily(reason, roots=tuple(r.coeffs for r in roots))
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -155,15 +149,15 @@ def test_each_bad_divisor_factor_is_needed():
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_reduce_coords_matches_reduce_elem(name):
-    # the 14 elements over one common denominator, one inverse per ideal,
-    # against reduce_elem one element at a time
+    # every row of fam.coords (alpha, the r_i, then the coefficients of g
+    # and of h) over one common denominator, one inverse per ideal, against
+    # reduce_elem one element at a time
     fam = FAMILIES[name]()
-    elems = (fam.spec.alpha, *fam.roots, fam.a, fam.b, fam.c, fam.A, fam.B,
-             fam.C, fam.D)
-    assert len(elems) == len(fam.coords[0]) == 14
+    elems = (fam.spec.alpha, *fam.roots, *fam.g.coeffs, *fam.h.coeffs)
+    assert len(elems) == len(fam.coords[0]) == 11 + len(fam.h.coeffs)
     checked = 0
     for P in enumerate_prime_ideals(fam.K, 400):
-        if P.p == 2 or fam.den_lcm % P.p == 0:
+        if P.p == 2 or fam.coords[1] % P.p == 0:
             continue
         got = reduce_coords(fam.coords, P)
         assert got == [reduce_elem(x, P).coeffs for x in elems], P.label()
