@@ -78,10 +78,8 @@ def _entry(obj, key, what):
 
 
 def _load_field_spec(obj):
-    return NumberField(
-        poly_from_str(_entry(obj, "min_poly", "field")).coeffs,
-        excluded_primes=obj.get("excluded_primes"),
-        assert_irreducible=obj.get("assert_irreducible", False))
+    return NumberField(poly_from_str(_entry(obj, "min_poly", "field")).coeffs,
+                       excluded_primes=obj.get("excluded_primes"))
 
 
 def _parse_kelem(K, text):

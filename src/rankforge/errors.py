@@ -53,7 +53,8 @@ class DenominatorNotInvertible(RankforgeError):
 
 
 class NotKnownIrreducible(InvalidArgument):
-    """Minimal polynomial could not be certified irreducible over Q."""
+    """Minimal polynomial has too many factors mod every prime tried for its
+    irreducibility proof to recombine them (number_field._MAX_FACTORS)."""
 
 
 # family construction

@@ -4,7 +4,8 @@ O_K is approximated by the order Z[theta]: factoring the minimal polynomial
 mod p (Dedekind) gives the primes of O_K for every p outside the excluded
 set, which defaults to the primes dividing disc(m). A caller's own list may
 leave out exactly the p | disc(m) where Z[theta] is p-maximal; NumberField
-refuses any other list (is_p_maximal, Dedekind's criterion).
+refuses any other list (is_p_maximal, Dedekind's criterion). m is proved
+irreducible at every degree by Zassenhaus's method (_certify_irreducible).
 
 Every caller splits m mod p through poly._split, at every prime p, 2
 included. Enumeration up to a norm bound X is one stream in norm order,
@@ -62,7 +63,10 @@ from .poly import (
 )
 from .primes import is_prime, sieve
 
-_CERTIFY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# the primes tried for m mod p (m stays irreducible mod some p only if its
+# Galois group holds an n-cycle), and the most factors r whose products,
+# up to 2^r trial divisions, are tried
+_CANDIDATES, _MAX_FACTORS = 14, 12
 
 # ideals per batch of the stream: taken one at a time from the splitting,
 # rank over Q(sqrt 5) at X = 2*10^5 ran about 9 % slower (Python 3.11.7,
@@ -73,10 +77,7 @@ _BATCH = 256
 class NumberField:
     """K = Q(theta) for a monic irreducible integer polynomial m(theta)."""
 
-    def __init__(self, min_poly, excluded_primes=None, assert_irreducible=False):
-        if not isinstance(assert_irreducible, bool):
-            raise InvalidArgument(
-                f"assert_irreducible must be a bool, got {assert_irreducible!r}")
+    def __init__(self, min_poly, excluded_primes=None):
         coeffs = int_coeffs(min_poly, "minimal polynomial")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -90,7 +91,7 @@ class NumberField:
         self.disc_m = int(disc)
         if self.disc_m == 0:
             raise InvalidArgument("minimal polynomial is not squarefree")
-        self._certify_irreducible(assert_irreducible)
+        _certify_irreducible(self.m, self.disc_m)
         if excluded_primes is None:
             self.excluded_primes = frozenset(
                 _modpoly.prime_divisors(abs(self.disc_m)))
@@ -121,27 +122,6 @@ class NumberField:
                 f"where Z[theta] is not maximal (Dedekind's criterion; "
                 f"disc(m) = {self.disc_m})")
         return excluded
-
-    def _certify_irreducible(self, asserted):
-        if self.n == 1:
-            return
-        if self.n <= 3:
-            # a reducible monic quadratic/cubic has an integer root
-            if self.m[0] == 0:
-                raise InvalidArgument("minimal polynomial has root 0")
-            roots = _integer_roots(self.m, self.disc_m)
-            if roots:
-                r = min(roots, key=lambda r: (abs(r), r < 0))
-                raise InvalidArgument(f"minimal polynomial has rational root {r}")
-            return
-        for p in _CERTIFY_PRIMES:
-            if self.disc_m % p and _modpoly.is_irreducible(
-                    [c % p for c in self.m], p):
-                return
-        if not asserted:
-            raise NotKnownIrreducible(
-                "degree >= 4 and no mod-p certificate found; "
-                "pass assert_irreducible=True to proceed")
 
     def elem(self, coeffs):
         """Element of K from rational coordinates in the power basis."""
@@ -334,6 +314,54 @@ def is_p_maximal(m, p):
     return len(_modpoly.gcd(_modpoly.gcd(F, t, p), h, p)) == 1
 
 
+def _certify_irreducible(m, disc):
+    """Refuse the monic integer m, of discriminant disc != 0, unless it is
+    irreducible over Q (Zassenhaus; von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 15-16): one factor mod one of the first _CANDIDATES primes
+    p >= 3 prime to disc proves it. Else the factors f_i mod the p with
+    fewest are Hensel-lifted to q = p^k > 2^(n//2 + 1) (floor |m|_2 + 1),
+    twice Mignotte's bound for a factor of degree <= n/2, adding p^k (e s_i
+    mod f_i) to f_i, e = (m - prod f_i) / p^k, s_i = (m / f_i)^-1 mod f_i.
+    Products of lifted f_i of degree <= n/2, in symmetric residues mod q,
+    are tried by exact division, fewest f_i first."""
+    n, m_poly, best = len(m) - 1, Poly(map(Fraction, m)), None
+    primes = (p for p in itertools.count(3) if disc % p and is_prime(p))
+    for p in itertools.islice(primes, _CANDIDATES):
+        split = _split([c % p for c in m], p, disc=disc)
+        factors = [g for prod, d, _ in split for g in _edf(prod, d, p)]
+        if len(factors) == 1:
+            return
+        if best is None or len(factors) < len(best[1]):
+            best = p, factors
+    (p, lifted), q = best, best[0]
+    if len(lifted) > _MAX_FACTORS:
+        raise NotKnownIrreducible(
+            f"cannot certify the minimal polynomial irreducible: it has more "
+            f"than {_MAX_FACTORS} factors mod each of {_CANDIDATES} primes")
+    inverses = [_modpoly.powmod(_modpoly.divmod_(m, f, p)[0],
+                                p ** (len(f) - 1) - 2, f, p) for f in lifted]
+    while q <= 2 ** (n // 2 + 1) * (math.isqrt(sum(c * c for c in m)) + 1):
+        prod = functools.reduce(lambda a, b: _modpoly.mul(a, b, q * p), lifted)
+        e = [(c - d) // q % p for c, d in zip(m, prod)]
+        lifted = [[a + q * b for a, b in itertools.zip_longest(
+            f, _modpoly.mod(_modpoly.mul(e, s, p), f, p), fillvalue=0)]
+            for f, s in zip(lifted, inverses)]
+        q *= p
+    products = (Poly(Fraction(c - q if 2 * c > q else c) for c in
+                     functools.reduce(lambda a, b: _modpoly.mul(a, b, q), s))
+                for k in range(1, len(lifted))
+                for s in itertools.combinations(lifted, k))
+    found = [g for g in products if g.degree <= n // 2 and (m_poly % g).is_zero]
+    roots = [-g.coeffs[0] for g in found if g.degree == 1]
+    if roots:
+        r = min(roots, key=lambda r: (abs(r), r < 0))
+        raise InvalidArgument(f"minimal polynomial has rational root {r}")
+    if found:
+        raise InvalidArgument(
+            f"minimal polynomial has factor {poly_to_str(found[0])}, "
+            f"cofactor {poly_to_str(m_poly // found[0])}")
+
+
 def integer_coords(*elems):
     """(rows, d): the coordinates of each element as integers over one
     common denominator d > 0, the lcm of all their coordinate denominators."""
@@ -406,30 +434,3 @@ def landau_sum(K, X):
     total = math.fsum(logs())
     return total, (total / X if X else 0.0), count
 
-
-def _integer_roots(m, disc):
-    """The integer roots of a monic integer polynomial m with nonzero
-    discriminant disc, in time polynomial in the digits of m.
-
-    Mod the least prime p not dividing disc every root of m is simple, so
-    Newton's step lifts it to a unique root mod p^2, p^4, ... (Hensel).
-    Once the modulus passes twice the Cauchy bound 1 + max |m_i| on the
-    roots, an integer root can only be the symmetric residue of a lift.
-    """
-    f = Poly(m)
-    df = f.derivative()
-    bound = 1 + max(map(abs, m[:-1]))
-    p = next(p for p in itertools.count(2) if disc % p and is_prime(p))
-    roots = []
-    for r in range(p):
-        if f(r) % p:
-            continue
-        n = p
-        while n <= 2 * bound:
-            n *= n
-            r = (r - f(r) * pow(df(r), -1, n)) % n
-        if r > n // 2:
-            r -= n
-        if f(r) == 0:
-            roots.append(r)
-    return roots

@@ -397,7 +397,7 @@ MALFORMED = {
         {**FAMILY_Q, "field": {"min_poly": "1,2,1"}},
         ["rank", "--max-norm", "100"]),
     "min_poly not known irreducible": (
-        {**FAMILY_Q, "field": {"min_poly": "1,0,0,0,1"}},
+        {**FAMILY_Q, "field": {"min_poly": "4,0,0,0,1"}},
         ["rank", "--max-norm", "100"]),
     "min_poly not integral": (
         {**FAMILY_Q, "field": {"min_poly": "3/2,0,1"}},
@@ -410,10 +410,10 @@ MALFORMED = {
         {"field": {"min_poly": "-2,0,0,1"},
          "rho": ["1", "2", "0,1", "1,,1", "0,0,1", "2,1"], "alpha": "1"},
         ["rank", "--max-norm", "100"]),
-    # any truthy value used to skip the irreducibility certificate
-    "assert_irreducible not a boolean": (
-        {**FAMILY_Q, "field": {"min_poly": "1,0,0,0,1",
-                               "assert_irreducible": "no"}},
+    # the key used to skip the irreducibility proof; it is ignored now
+    "assert_irreducible on a reducible min_poly": (
+        {**FAMILY_Q, "field": {"min_poly": "4,0,0,0,1",
+                               "assert_irreducible": True}},
         ["rank", "--max-norm", "100"]),
     "excluded_primes not integers": (
         {**FAMILY_Q, "field": {"min_poly": "-1,-1,1", "excluded_primes": ["a"]}},

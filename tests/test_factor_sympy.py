@@ -9,9 +9,15 @@ import random
 import pytest
 
 from rankforge import NumberField, enumerate_prime_ideals, factor_mod_p
+from rankforge.errors import InvalidArgument
+from rankforge.poly import Poly
 from rankforge._modpoly import mul
 from rankforge._modpoly import prime_divisors
-from rankforge.number_field import is_p_maximal, prime_ideals_above
+from rankforge.number_field import (
+    _certify_irreducible,
+    is_p_maximal,
+    prime_ideals_above,
+)
 from rankforge.primes import sieve
 from conftest import BOUNDARY_NORMS, bounded_fields
 
@@ -130,3 +136,43 @@ def test_dedekind_criterion_matches_sympy_round_two():
         index = math.isqrt(disc_m // int(round_two(poly)[1]))
         for p in prime_divisors(abs(disc_m)):
             assert is_p_maximal(m, p) == (index % p != 0), (m, p)
+
+
+def test_irreducibility_proof_matches_sympy():
+    # seeded random monic polynomials of degree <= 10, half of them
+    # products of two: the proof passes exactly the irreducible ones, and
+    # a refusal names a factor of degree <= n/2 that divides m exactly, or
+    # the rational root of least |r|, the positive one first
+    rng = random.Random(29)
+    cases = [[rng.randint(-20, 20) for _ in range(rng.randint(1, 10))] + [1]
+             for _ in range(200)]
+    for _ in range(200):
+        f, g = ([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1]
+                for _ in range(2))
+        cases.append(list((Poly(f) * Poly(g)).coeffs))
+    refused = 0
+    for m in cases:
+        poly = sympy.Poly(list(reversed(m)), X)
+        disc = int(poly.discriminant())
+        if disc == 0:  # NumberField refuses m before the proof
+            assert not poly.is_irreducible, m
+            continue
+        try:
+            _certify_irreducible(m, disc)
+        except InvalidArgument as exc:
+            refused += 1
+            assert not poly.is_irreducible, m
+            message = str(exc)
+            if message.startswith("minimal polynomial has factor "):
+                g, h = (Poly(int(c) for c in part.split(","))
+                        for part in message[30:].split(", cofactor "))
+                assert g * h == Poly(m), m
+                assert 1 <= g.degree <= (len(m) - 1) // 2, m
+            else:
+                r = int(message.removeprefix(
+                    "minimal polynomial has rational root "))
+                roots = [int(t) for t in sympy.roots(poly, filter="Z")]
+                assert r == min(roots, key=lambda r: (abs(r), r < 0)), m
+        else:
+            assert poly.is_irreducible, m
+    assert 150 < refused < 250, refused

@@ -21,7 +21,7 @@ from rankforge.errors import (
 )
 from rankforge.finite_field import FqElem
 from rankforge.number_field import is_p_maximal, prime_ideals_above
-from rankforge.poly import factor_mod_p
+from rankforge.poly import Poly, factor_mod_p
 from rankforge.primes import sieve
 from conftest import BOUNDARY_NORMS, bounded_fields, ideal_above
 
@@ -382,14 +382,8 @@ def test_integral_fraction_coefficients_are_accepted():
     assert K.m == (-2, 0, 1) and all(type(c) is int for c in K.m)
 
 
-@pytest.mark.parametrize("flag", ["no", 0, 1, None])
-def test_assert_irreducible_must_be_a_bool(flag):
-    with pytest.raises(InvalidArgument, match="^assert_irreducible must be a bool"):
-        NumberField([1, 0, 0, 0, 1], assert_irreducible=flag)
-
-
 @pytest.mark.parametrize("min_poly", [
-    [0, 2], [], [-1, 0, 1], [1, 2, 1], [0, 1, 1], [1, 0, 0, 0, 1]],
+    [0, 2], [], [-1, 0, 1], [1, 2, 1], [0, 1, 1], [4, 0, 0, 0, 1]],
     ids=["not monic", "zero", "rational root", "not squarefree", "root 0",
          "not known irreducible"])
 def test_malformed_min_poly_is_an_invalid_argument(min_poly):
@@ -400,11 +394,90 @@ def test_malformed_min_poly_is_an_invalid_argument(min_poly):
 def test_degree4_irreducibility_certificate():
     # Phi_5 is irreducible mod 3 (3 generates (Z/5)^*)
     NumberField([1, 1, 1, 1, 1])
-    # x^4 + 1 factors mod every prime: needs the explicit assertion
-    with pytest.raises(NotKnownIrreducible):
-        NumberField([1, 0, 0, 0, 1])
-    K = NumberField([1, 0, 0, 0, 1], assert_irreducible=True)
-    assert K.n == 4
+    # x^4 + 1 and x^4 - 10 x^2 + 1 factor mod every prime: the lifted
+    # factors prove them irreducible; x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2)
+    assert NumberField([1, 0, 0, 0, 1]).n == 4
+    assert NumberField([1, 0, -10, 0, 1]).n == 4
+    with pytest.raises(InvalidArgument, match=(
+            "^minimal polynomial has factor 2,-?2,1, cofactor 2,-?2,1$")):
+        NumberField([4, 0, 0, 0, 1])
+
+
+def swinnerton_dyer(radicands):
+    """The monic integer polynomial whose roots are all the sums of +-sqrt a
+    over a in radicands: mod every prime prime to its discriminant it
+    factors into factors of degree at most 2."""
+    f = Poly([0, 1])
+    for a in radicands:
+        # f(x + t) f(x - t) with t^2 = a is E^2 - a O^2, where E and O sum
+        # the even and the odd powers of t in the Taylor expansion of f(x + t)
+        even, odd, d = Poly(), Poly(), f
+        for j in range(f.degree + 1):
+            term = d * Fraction(a ** (j // 2), math.factorial(j))
+            even, odd = (even + term, odd) if j % 2 == 0 else (even, odd + term)
+            d = d.derivative()
+        f = even * even - odd * odd * a
+    return f.coeffs
+
+
+def test_swinnerton_dyer_fields_build_and_the_factor_cap_refuses():
+    assert swinnerton_dyer([2, 3]) == (1, 0, -10, 0, 1)
+    assert swinnerton_dyer([2, 3, 5]) == (576, 0, -960, 0, 352, 0, -40, 0, 1)
+    for radicands in ([2, 3, 5], [2, 3, 5, 7]):
+        m = swinnerton_dyer(radicands)
+        assert NumberField(m).n == len(m) - 1
+    # degree 32: 16 factors mod every prime, over the recombination cap
+    with pytest.raises(NotKnownIrreducible, match=(
+            "^cannot certify the minimal polynomial irreducible: it has more "
+            "than 12 factors mod each of 14 primes$")):
+        NumberField(swinnerton_dyer([2, 3, 5, 7, 11]))
+
+
+def test_irreducibility_when_every_candidate_prime_divides_the_discriminant():
+    # x^2 - 3 * 5 * ... * 47: the primes tried go on past 47
+    K = NumberField([-math.prod(p for p in sieve(47) if p > 2), 0, 1])
+    assert all(p in K.excluded_primes for p in sieve(47) if p > 2)
+
+
+def test_factor_of_two_modular_factors_is_named():
+    # both quartic factors split into two quadratics mod every prime, so a
+    # factor is found only as a product of two lifted factors
+    m = Poly([1, 0, -10, 0, 1]) * Poly([9, 0, -14, 0, 1])
+    with pytest.raises(InvalidArgument, match=(
+            "^minimal polynomial has factor (9,0,-14,0,1|1,0,-10,0,1), "
+            "cofactor (9,0,-14,0,1|1,0,-10,0,1)$")) as refusal:
+        NumberField(m.coeffs)
+    assert "9,0,-14,0,1" in str(refusal.value)
+
+
+def test_lift_passes_twice_mignottes_bound(monkeypatch):
+    # a factor of degree d <= n/2 has coefficients of size at most
+    # 2^d |m|_2 (Mignotte), so its symmetric residues mod q are the
+    # factor itself only once q > 2^(n/2 + 1) |m|_2; the small m at hand
+    # have factors far below that bound, so the modulus itself is checked
+    from rankforge import _modpoly
+
+    moduli, mul = [], _modpoly.mul
+
+    def recording_mul(f, g, q):
+        moduli.append(q)
+        return mul(f, g, q)
+
+    monkeypatch.setattr(_modpoly, "mul", recording_mul)
+    for m in ([4, 0, 0, 0, 1], [1, 0, -10, 0, 1], swinnerton_dyer([2, 3, 5])):
+        moduli.clear()
+        try:
+            NumberField(m)
+        except InvalidArgument:
+            pass
+        n = len(m) - 1
+        assert max(moduli) ** 2 > 4 ** (n // 2 + 1) * sum(c * c for c in m), m
+
+
+def test_rational_root_past_the_first_modulus_needs_the_lift():
+    # (x - 2^60)(x^2 + 1): the root is read only mod p^k > 2^61
+    with pytest.raises(InvalidArgument, match=f"rational root {2 ** 60}$"):
+        NumberField([-2 ** 60, 1, -2 ** 60, 1])
 
 
 def test_enumeration_deterministic(K_sqrt5):
